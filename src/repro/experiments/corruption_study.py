@@ -35,8 +35,9 @@ from repro.experiments.zoo import (
     build_zoo,
     cached_suite,
     get_prune_run,
-    make_model,
+    grid_scope,
     make_suite,
+    scoped_model,
 )
 from repro.parallel import CellTiming, GridTiming, resolve_jobs, stopwatch
 
@@ -96,7 +97,7 @@ def _curve_cell(payload) -> tuple[int, str, PruneAccuracyCurve, CellTiming]:
         dataset = _distribution_dataset(suite, dist_spec)
         spec = ZooSpec(task_name, model_name, method_name, rep, robust)
         run = get_prune_run(spec, scale)
-        model = make_model(spec, suite, scale)
+        model = scoped_model(spec, suite, scale)
         curve = evaluate_curve(run, model, dataset, suite.normalizer())
     observe.incr("eval.cells")
     timing = CellTiming(
@@ -126,10 +127,12 @@ def _evaluate_grid(
     repetitions whose zoo artifact died are skipped as ``dependency``
     failures (their eval cells would just retrain the dead artifact
     inline), dead eval cells leave holes in the returned curve dict, and
-    one manifest covering the zoo and eval phases is persisted.
+    one manifest covering the zoo and eval phases is persisted.  Both
+    phases run inside one :func:`grid_scope`, so the cells share each
+    artifact the zoo probe loaded and one model per repetition.
     """
     failures = []
-    with stopwatch() as elapsed:
+    with stopwatch() as elapsed, grid_scope():
         zoo_specs = [
             ZooSpec(task_name, model_name, method_name, rep, robust)
             for rep in range(scale.n_repetitions)

@@ -31,8 +31,10 @@ from repro.experiments.zoo import (
     cached_suite,
     get_parent_state,
     get_prune_run,
+    grid_scope,
     make_model,
     make_suite,
+    scoped_model,
 )
 from repro.parallel import CellTiming, GridTiming, resolve_jobs, stopwatch
 from repro.utils.rng import as_rng
@@ -83,7 +85,7 @@ def _noise_cell(payload) -> tuple[int, int, float, CellTiming]:
         )
         spec = ZooSpec(task_name, model_name, method_name, rep)
         run = get_prune_run(spec, scale)
-        model = make_model(spec, suite, scale)
+        model = scoped_model(spec, suite, scale)
         curve = evaluate_curve(run, model, noisy, normalizer=None)
     observe.incr("eval.cells")
     timing = CellTiming(
@@ -109,11 +111,12 @@ def noise_potential_experiment(
 
     Under ``on_error="collect"`` failed cells become NaN entries in
     ``potentials`` and the grid's failure manifest is persisted (see
-    :mod:`repro.resilience`).
+    :mod:`repro.resilience`).  The zoo probe and the cells share one
+    :func:`grid_scope`.
     """
     label = f"noise_potential[{task_name}/{model_name}/{method_name}]"
     failures = []
-    with stopwatch() as elapsed:
+    with stopwatch() as elapsed, grid_scope():
         zoo_specs = [
             ZooSpec(task_name, model_name, method_name, rep)
             for rep in range(scale.n_repetitions)

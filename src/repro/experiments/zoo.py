@@ -12,20 +12,26 @@ artifact kinds under ``REPRO_CACHE_DIR`` (default ``./.cache/repro``):
 The cache is safe under concurrent builders: artifacts are published
 atomically (see :mod:`repro.utils.serialization`), every train-on-miss is
 guarded by a per-artifact file lock with a double-checked reload, and a
-corrupt archive is treated as a cache miss (unlinked and recomputed)
-rather than a permanent failure.  :func:`build_zoo` fans a spec list out
-across worker processes, parents first so prune runs never race their own
-dependency.
+corrupt archive is treated as a cache miss (unlinked and recomputed, with a
+``cache.corrupt`` counter and a warning) rather than a permanent failure.
+:func:`build_zoo` fans a spec list out across worker processes, parents
+first so prune runs never race their own dependency.
+
+An evaluation grid opens a :func:`grid_scope` around its zoo probe and its
+cell dispatch, so its cells share each loaded artifact (read-only) and one
+eval model per spec instead of reloading and recompiling per cell.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +52,7 @@ from repro.parallel import (
 from repro.pruning import PruneRetrain, PruneRun, build_method, canonical_spec
 from repro.training import TrainConfig, Trainer, default_robust_protocol
 from repro.utils.rng import as_rng
-from repro.utils.serialization import save_state, try_load_state
+from repro.utils.serialization import load_state, save_state
 from repro.verify import runtime as verify_runtime
 
 
@@ -178,22 +184,122 @@ def artifact_path(spec: ZooSpec, scale: ExperimentScale) -> Path:
     return cache_dir() / f"{spec.key(scale)}.npz"
 
 
+# ------------------------------------------------------------ grid scope
+
+
+class _GridScope:
+    """What the cells of one evaluation grid share.
+
+    ``artifacts`` maps ``(path, st_ino, st_size, st_mtime_ns)`` to a loaded
+    parent state or :class:`PruneRun` whose arrays are read-only; ``models``
+    maps ``(spec, scale)`` to one eval model, hence one shared inference
+    engine whose plans are compiled and self-checked once.
+    """
+
+    def __init__(self) -> None:
+        self.artifacts: dict[tuple, dict[str, np.ndarray] | PruneRun] = {}
+        self.models: dict[tuple[ZooSpec, ExperimentScale], Module] = {}
+
+
+_SCOPE: _GridScope | None = None
+
+
+@contextlib.contextmanager
+def grid_scope() -> Iterator[None]:
+    """Share loaded artifacts and eval models across one grid's cells.
+
+    The scope lives exactly as long as the ``with`` block (a nested scope
+    joins the open one), so a later grid reads from disk again, as in a
+    fresh interpreter.  Entries are keyed on the archive's stat, so an
+    artifact re-published or repaired mid-grid is reloaded, never served
+    stale.  Pool workers forked inside the block inherit the scope and
+    fill their own copy; ``python -m repro worker`` processes run outside
+    it.
+    """
+    global _SCOPE
+    outer = _SCOPE
+    _SCOPE = outer or _GridScope()
+    try:
+        yield
+    finally:
+        _SCOPE = outer
+
+
+def scoped_model(spec: ZooSpec, suite: TaskSuite, scale: ExperimentScale) -> Module:
+    """The open grid scope's model for ``spec`` (:func:`make_model` outside one).
+
+    Consumers must leave its state as they found it, as
+    :func:`~repro.analysis.prune_potential.evaluate_curve` does.
+    """
+    if _SCOPE is None:
+        return make_model(spec, suite, scale)
+    key = (spec, scale)
+    model = _SCOPE.models.get(key)
+    if model is None:
+        model = _SCOPE.models[key] = make_model(spec, suite, scale)
+    else:
+        observe.incr("zoo.model_reuse")
+    return model
+
+
+def _artifact_arrays(artifact: dict[str, np.ndarray] | PruneRun) -> Iterator[np.ndarray]:
+    if isinstance(artifact, PruneRun):
+        yield from artifact.parent_state.values()
+        for ckpt in artifact.checkpoints:
+            yield from ckpt.state.values()
+    else:
+        yield from artifact.values()
+
+
+def _load_artifact(path: Path, load: Callable, unlink_corrupt: bool):
+    """``load(path)``, shared through the open grid scope; ``None`` on a miss.
+
+    A missing archive is a plain miss.  One that exists but fails to load
+    is a miss too, but a loud one: it counts ``cache.corrupt`` and warns.
+    The stat is taken before the read, so an archive replaced in between
+    is stored under its old key and reloaded on the next lookup.
+    """
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        return None
+    key = (str(path), st.st_ino, st.st_size, st.st_mtime_ns)
+    scope = _SCOPE
+    if scope is not None and key in scope.artifacts:
+        observe.incr("zoo.warm_hit")
+        return scope.artifacts[key]
+    try:
+        artifact = load(path)
+    except Exception as exc:
+        observe.incr("cache.corrupt")
+        warnings.warn(
+            f"corrupt zoo artifact {path} treated as a cache miss "
+            f"({type(exc).__name__}: {exc})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        if unlink_corrupt:
+            path.unlink(missing_ok=True)
+        return None
+    if scope is not None:
+        observe.incr("zoo.warm_miss")
+        for array in _artifact_arrays(artifact):
+            array.flags.writeable = False
+        scope.artifacts[key] = artifact
+    return artifact
+
+
 def _load_cached_state(
     path: Path, unlink_corrupt: bool = False
 ) -> dict[str, np.ndarray] | None:
-    """Cached arrays, or ``None`` (treating a corrupt archive as a miss).
+    """Cached parent arrays, or ``None`` (a corrupt archive is a miss).
 
     ``unlink_corrupt`` may only be passed while holding the artifact lock:
     unlinking from the lock-free fast path can delete the *complete*
     archive a concurrent publisher just promoted over the torn one via
     ``os.replace`` (the corrupt read and the unlink are not atomic).
     """
-    loaded = try_load_state(path)
-    if loaded is not None:
-        return loaded[0]
-    if unlink_corrupt and path.exists():
-        path.unlink(missing_ok=True)
-    return None
+    return _load_artifact(path, lambda p: load_state(p)[0], unlink_corrupt)
 
 
 def _load_cached_run(path: Path, unlink_corrupt: bool = False) -> PruneRun | None:
@@ -205,14 +311,7 @@ def _load_cached_run(path: Path, unlink_corrupt: bool = False) -> PruneRun | Non
     artifact lock — a lock-free unlink races the atomic republish of a
     concurrent builder and can destroy its freshly published archive.
     """
-    if not path.exists():
-        return None
-    try:
-        return PruneRun.load(path)
-    except Exception:
-        if unlink_corrupt:
-            path.unlink(missing_ok=True)
-        return None
+    return _load_artifact(path, PruneRun.load, unlink_corrupt)
 
 
 def _train_parent(parent_spec: ZooSpec, scale: ExperimentScale) -> dict[str, np.ndarray]:

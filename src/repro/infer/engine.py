@@ -95,7 +95,35 @@ def _pad_to(n: int, batch_size: int) -> int:
     return min(size, batch_size)
 
 
-class InferenceEngine:
+class HeldModel:
+    """An engine's ``model`` attribute, held strongly until the engine is shared.
+
+    The shared-engine registries map model -> engine in a weak-keyed dict.
+    An engine that held its model strongly would keep its own key alive,
+    so no entry, engine or compiled plan would ever be freed.
+    :func:`share_engine` therefore downgrades a registered engine's
+    reference to a weakref: the engine dies with its model.
+    """
+
+    @property
+    def model(self):
+        model = self._model
+        return model() if isinstance(model, weakref.ref) else model
+
+    @model.setter
+    def model(self, model) -> None:
+        self._model = model
+
+
+def share_engine(registry: weakref.WeakKeyDictionary, engine: HeldModel):
+    """Register ``engine`` as its model's shared engine in ``registry``."""
+    model = engine.model
+    engine.model = weakref.ref(model)
+    registry[model] = engine
+    return engine
+
+
+class InferenceEngine(HeldModel):
     """Batched eval-mode ``logits``/``predict``/``predict_proba`` for a model.
 
     Parameters
@@ -362,14 +390,14 @@ def engine_for(model: Module, batch_size: int = 256) -> InferenceEngine:
 
     Consumers accept either a ``Module`` or an ``InferenceEngine``; routing
     both through this seam lets callers pre-warm and share one engine
-    across an entire study loop.
+    across an entire study loop.  The engine holds ``model`` weakly and is
+    freed with it.
     """
     if isinstance(model, InferenceEngine):
         return model
     engine = _ENGINES.get(model)
     if engine is None:
-        engine = InferenceEngine(model, batch_size=batch_size)
-        _ENGINES[model] = engine
+        engine = share_engine(_ENGINES, InferenceEngine(model, batch_size=batch_size))
     return engine
 
 
@@ -379,7 +407,7 @@ def adopt_engine(engine: InferenceEngine) -> InferenceEngine:
     The serving registry builds engines with non-default settings
     (``pad="fixed"``, a tuned batch size) and adopts them so every other
     consumer of the same model — including differential parity checks —
-    routes through the identical plans.
+    routes through the identical plans.  Like every shared engine it then
+    holds its model weakly, so the caller keeps the model alive.
     """
-    _ENGINES[engine.model] = engine
-    return engine
+    return share_engine(_ENGINES, engine)

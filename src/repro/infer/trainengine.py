@@ -36,6 +36,7 @@ import numpy as np
 
 from repro import observe
 from repro.autograd.tensor import Tensor
+from repro.infer.engine import HeldModel, share_engine
 from repro.infer.grad import GradPlan
 from repro.infer.plan import CompileError
 from repro.infer.trace import TraceError, trace_training
@@ -105,7 +106,7 @@ def _mask_signature(model: Module) -> tuple:
     )
 
 
-class TrainEngine:
+class TrainEngine(HeldModel):
     """Compiled training steps for one (model, loss, optimizer) triple.
 
     :meth:`step` performs everything the tape-path loop body does —
@@ -282,7 +283,8 @@ def train_engine_for(model, loss_fn, optimizer, exact: bool = False) -> TrainEng
     Compiled plans survive across training phases (the prune → retrain
     loop re-enters ``Trainer.train`` with a fresh optimizer each time), so
     the loss/optimizer handles are refreshed on every call while the plan
-    cache is kept; an ``exact`` flag change rebuilds the engine.
+    cache is kept; an ``exact`` flag change rebuilds the engine.  A shared
+    engine holds its model weakly and is freed with it.
     """
     if isinstance(model, TrainEngine):
         return model
@@ -290,7 +292,7 @@ def train_engine_for(model, loss_fn, optimizer, exact: bool = False) -> TrainEng
     if engine is None or engine.exact != exact:
         engine = TrainEngine(model, loss_fn, optimizer, exact=exact)
         if isinstance(model, Module):
-            _TRAIN_ENGINES[model] = engine
+            share_engine(_TRAIN_ENGINES, engine)
         return engine
     engine.loss_fn = loss_fn
     engine.optimizer = optimizer

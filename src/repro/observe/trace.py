@@ -83,6 +83,23 @@ class TraceReport:
         return None if total == 0 else hits / total
 
     @property
+    def grid_scope(self) -> dict[str, float] | None:
+        """What evaluation grids shared instead of redoing, plus corrupt
+        archives met on the way (``None`` when none was recorded).
+
+        ``warm_hits`` are artifact loads served from memory (disk reads
+        saved); ``model_reuses`` are eval models served to a later cell,
+        each skipping a model build and its engine's plan compiles.
+        """
+        rollup = {
+            "warm_hits": self.counters.get("zoo.warm_hit", 0),
+            "warm_misses": self.counters.get("zoo.warm_miss", 0),
+            "model_reuses": self.counters.get("zoo.model_reuse", 0),
+            "corrupt": self.counters.get("cache.corrupt", 0),
+        }
+        return rollup if any(rollup.values()) else None
+
+    @property
     def resilience(self) -> dict[str, float] | None:
         """Fault-tolerance rollup: retries, crashes, timeouts, dead cells,
         chaos injections, and degraded/resumed grids (``None`` when the run
@@ -180,6 +197,8 @@ class TraceReport:
         }
         if self.cache_hit_rate is not None:
             out["cache_hit_rate"] = round(self.cache_hit_rate, 4)
+        if self.grid_scope is not None:
+            out["grid_scope"] = self.grid_scope
         if self.resilience is not None:
             out["resilience"] = self.resilience
         if self.queue is not None:
@@ -216,6 +235,15 @@ class TraceReport:
                     f"  {name}: n={s['count']} mean={_fmt_num(s['mean'])} "
                     f"min={_fmt_num(s['min'])} max={_fmt_num(s['max'])}"
                 )
+        if self.grid_scope is not None:
+            g = self.grid_scope
+            lines.append(
+                "grid scope: "
+                f"{_fmt_num(g['warm_hits'])} artifact load(s) served from memory, "
+                f"{_fmt_num(g['warm_misses'])} read from disk, "
+                f"{_fmt_num(g['model_reuses'])} eval model(s) reused, "
+                f"{_fmt_num(g['corrupt'])} corrupt archive(s)"
+            )
         if self.resilience is not None:
             r = self.resilience
             lines.append(

@@ -1,11 +1,14 @@
 """The inference engine: parity, cache invalidation, fallback, opt-out."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.autograd import Tensor, no_grad
-from repro.infer import InferenceEngine, engine_for
+from repro.infer import InferenceEngine, adopt_engine, engine_for
 from repro.pruning import build_method
 from repro.pruning.mask import prunable_layers
 
@@ -167,3 +170,23 @@ class TestApi:
         engine = engine_for(model)
         assert engine_for(model) is engine
         assert engine_for(engine) is engine
+
+    def test_shared_engine_dies_with_its_model(self, images):
+        model = make_tiny_cnn()
+        engine = engine_for(model)
+        engine.logits(images)
+        assert engine.model is model
+        ref = weakref.ref(engine)
+        del model, engine
+        gc.collect()
+        assert ref() is None
+
+    def test_adopted_engine_dies_with_its_model(self, images):
+        model = make_tiny_cnn()
+        engine = adopt_engine(InferenceEngine(model, batch_size=8, pad="fixed"))
+        assert engine_for(model) is engine
+        engine.logits(images)
+        ref = weakref.ref(engine)
+        del model, engine
+        gc.collect()
+        assert ref() is None

@@ -7,6 +7,8 @@ no-augmentation normalization, and the empty-train-set error.
 """
 
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -70,6 +72,14 @@ class TestCompiledVsTape:
         engine = _TRAIN_ENGINES.get(model)
         assert engine is not None
         assert any(plan is not None for plan in engine._plans.values())
+
+    def test_shared_engine_dies_with_its_model(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRAINC", "1")
+        model, _ = train_fresh(epochs=1)
+        ref = weakref.ref(_TRAIN_ENGINES[model])
+        del model
+        gc.collect()
+        assert ref() is None
 
     def test_trainc_opt_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRAINC", "0")
