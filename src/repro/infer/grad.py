@@ -31,11 +31,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.functional import _col2im, _im2col
-from repro.infer.plan import KERNELS, CompileError, _k_conv2d, _k_conv2d_exact
-from repro.infer.trace import Node, TrainGraph
+from repro.infer.plan import (
+    KERNELS,
+    KERNELS_EXACT,
+    CompileError,
+    _k_conv2d,
+    _norm_axis,
+    _run_steps,
+    _schedule,
+    _toposort,
+)
+from repro.infer.trace import _LEAF_OPS, Node, TrainGraph
 from repro.nn.module import Module
-
-_LEAF_OPS = ("input", "param", "buffer", "value", "label")
 
 # ----------------------------------------------------------- forward kernels
 # Training-mode ops the eval table does not have.  Tuple-valued kernels
@@ -196,14 +203,6 @@ def _k_maximum_bwd_b(args, params):
 def _k_clip_bwd(args, params):
     g, a = args
     return g * ((a >= params["low"]) & (a <= params["high"]))
-
-
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
 
 
 def _k_sum_bwd(args, params):
@@ -501,35 +500,9 @@ def _k_conv_bn_relu(args, params):
 
 def _k_conv_bn_relu_bwd(args, params):
     g, tup, x, w, gamma = args
-    y, xhat, invstd, _, _ = tup
-    axes, shape = _bn_axes(params["ndim"])
-    # Persistent per-node buffers, as in ``_k_bn_relu_train_bwd``: the
-    # gated gradient never escapes this kernel (it is consumed by the
-    # conv backward below, whose outputs are fresh), so warm reuse is
-    # safe and skips the page-fault sweep of fresh multi-MB allocations.
-    scratch = params.get("_scratch_bnr")
-    if scratch is None or scratch[0].shape != g.shape:
-        scratch = (
-            np.empty_like(g),
-            np.empty_like(g),
-            np.empty(g.shape, dtype=bool),
-        )
-        params["_scratch_bnr"] = scratch
-    gr, tmp, mask = scratch
-    np.greater(y, 0.0, out=mask)
-    np.multiply(g, mask, out=gr)
-    gbeta = gr.sum(axis=axes)
-    ggamma = _chan_dot(gr, xhat)
-    # gz = (gamma * invstd) * (gr - gbeta/cnt - xhat * ggamma/cnt): the
-    # batch means of gamma*gr and gamma*gr*xhat are gamma*gbeta/cnt and
-    # gamma*ggamma/cnt, so the two reductions above are the only ones
-    # needed; the whole chain runs in place on the scratch.
-    cnt = gr.size // gr.shape[1]
-    gr -= (gbeta / cnt).reshape(shape)
-    np.multiply(xhat, (ggamma / cnt).reshape(shape), out=tmp)
-    gr -= tmp
-    gr *= (gamma * invstd).reshape(shape)
-    gz = gr
+    # The gated BN gradient lives in this node's persistent scratch; it
+    # never escapes (the conv gradients below are fresh arrays).
+    gz, ggamma, gbeta = _k_bn_relu_train_bwd((g, tup, gamma), params)
     gw = _conv_grad_w(gz, x, params)
     gb = gz.sum(axis=(0, 2, 3)) if params["has_bias"] else None
     gx = _conv_grad_x(gz, w, params) if params["need_gx"] else None
@@ -604,6 +577,10 @@ def _k_bn_relu_train_bwd(args, params):
     np.multiply(g, mask, out=gr)
     gbeta = gr.sum(axis=axes)
     ggamma = _chan_dot(gr, xhat)
+    # gx = (gamma * invstd) * (gr - gbeta/cnt - xhat * ggamma/cnt): the
+    # batch means of gamma*gr and gamma*gr*xhat are gamma*gbeta/cnt and
+    # gamma*ggamma/cnt, so the two reductions above are the only ones
+    # needed; the whole chain runs in place on the scratch.
     cnt = gr.size // gr.shape[1]
     gr -= (gbeta / cnt).reshape(shape)
     np.multiply(xhat, (ggamma / cnt).reshape(shape), out=tmp)
@@ -664,20 +641,12 @@ KTABLE_FAST = {
 }
 
 KTABLE_EXACT = {
-    **KERNELS,
+    **KERNELS_EXACT,
     **_TRAIN_KERNELS,
-    "conv2d": _k_conv2d_exact,
     "conv_bwd_w": _k_conv_bwd_w_exact,
     "conv_bwd_x": _k_conv_bwd_x_exact,
     "conv_bwd_b": _k_conv_bwd_b_exact,
 }
-
-# Ops whose runtime kernel may return a view of an input (or of a tuple
-# element); neither these slots nor their inputs may ever be overwritten by
-# an in-place rewrite.
-_VIEW_OPS = frozenset(
-    {"reshape", "transpose", "getitem", "tuple_get", "slice_axis", "unpad2d"}
-)
 
 
 # ------------------------------------------------------- backward derivation
@@ -995,23 +964,24 @@ def _derive_backward(
 # ------------------------------------------------------------- fusion (fast)
 
 
-def _fuse_conv_bn_relu(
-    nodes: list[Node], shapes: list, protected: set[int]
-) -> int:
-    """Fast-mode peephole: ``conv2d → bn_train → tuple_get0 → relu`` becomes
-    one ``conv_bn_relu`` tuple node.
+def _fuse_bn_relu(nodes: list[Node], protected: set[int]) -> None:
+    """Fast-mode peephole: ``bn_train → tuple_get0 → relu`` becomes one
+    tuple node.
 
-    The bn node's index is reused for the fused node so the tracer's
-    running-stat ``tuple_get`` consumers (indices 3/4 — same slot layout)
-    stay valid without rewiring; the relu node's index becomes the fused
-    output projection, keeping downstream consumers valid too.  The old
-    conv and projection nodes go dead and fall to the scheduling DCE.
+    When the BatchNorm input is an unprotected ``conv2d`` with no other
+    consumer, the conv is absorbed too (``conv_bn_relu``); otherwise the
+    pre-activation form ``bn_relu_train`` is emitted (DenseNet's
+    BN→ReLU→conv blocks).  The bn node's index is reused for the fused
+    node so the tracer's running-stat ``tuple_get`` consumers (indices 3/4
+    — same slot layout) stay valid without rewiring; the relu node's index
+    becomes the post-ReLU projection, keeping downstream consumers valid
+    too.  The old conv and projection nodes go dead and fall to the
+    scheduling DCE.
     """
     consumers: dict[int, int] = {}
     for node in nodes:
         for j in node.inputs:
             consumers[j] = consumers.get(j, 0) + 1
-    n_fused = 0
     for r, node in enumerate(nodes):
         if node.op != "relu":
             continue
@@ -1025,90 +995,25 @@ def _fuse_conv_bn_relu(
             continue
         b = proj.inputs[0]
         bn = nodes[b]
-        if bn.op != "bn_train":
+        if bn.op != "bn_train" or {t, b} & protected:
             continue
         c = bn.inputs[0]
         conv = nodes[c]
-        if conv.op != "conv2d" or consumers.get(c, 0) != 1:
-            continue
-        if {t, c, b} & protected:
-            continue
-        nodes[b] = Node(
-            "conv_bn_relu",
-            conv.inputs + bn.inputs[1:],
-            {
-                "stride": conv.params["stride"],
-                "padding": conv.params["padding"],
-                "eps": bn.params["eps"],
-                "ndim": bn.params["ndim"],
-                "n_conv_args": len(conv.inputs),
-            },
-        )
-        shapes[b] = None
+        if conv.op == "conv2d" and consumers.get(c, 0) == 1 and c not in protected:
+            nodes[b] = Node(
+                "conv_bn_relu",
+                conv.inputs + bn.inputs[1:],
+                {
+                    "stride": conv.params["stride"],
+                    "padding": conv.params["padding"],
+                    "eps": bn.params["eps"],
+                    "ndim": bn.params["ndim"],
+                    "n_conv_args": len(conv.inputs),
+                },
+            )
+        else:
+            nodes[b] = Node("bn_relu_train", bn.inputs, dict(bn.params))
         nodes[r] = Node("tuple_get", (b,), {"index": 0})
-        n_fused += 1
-    return n_fused
-
-
-def _fuse_bn_relu(
-    nodes: list[Node], shapes: list, protected: set[int]
-) -> int:
-    """Fast-mode peephole: ``bn_train → tuple_get0 → relu`` becomes one
-    ``bn_relu_train`` tuple node.
-
-    The pre-activation variant of :func:`_fuse_conv_bn_relu` (run after
-    it, picking up the chains with no foldable producing conv — DenseNet's
-    BN→ReLU→conv blocks).  The same index-reuse scheme applies: the bn
-    node's index keeps the running-stat ``tuple_get`` consumers valid, and
-    the relu node becomes the post-ReLU projection.
-    """
-    consumers: dict[int, int] = {}
-    for node in nodes:
-        for j in node.inputs:
-            consumers[j] = consumers.get(j, 0) + 1
-    n_fused = 0
-    for r, node in enumerate(nodes):
-        if node.op != "relu":
-            continue
-        t = node.inputs[0]
-        proj = nodes[t]
-        if (
-            proj.op != "tuple_get"
-            or proj.params["index"] != 0
-            or consumers.get(t, 0) != 1
-        ):
-            continue
-        b = proj.inputs[0]
-        bn = nodes[b]
-        if bn.op != "bn_train":
-            continue
-        if {t, b} & protected:
-            continue
-        nodes[b] = Node("bn_relu_train", bn.inputs, dict(bn.params))
-        nodes[r] = Node("tuple_get", (b,), {"index": 0})
-        n_fused += 1
-    return n_fused
-
-
-def _toposort_multi(nodes: list[Node], roots: list[int]) -> list[int]:
-    """Live node indices in dependency order across several roots."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in roots:
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            index, done = stack.pop()
-            if done:
-                order.append(index)
-                continue
-            if index in seen:
-                continue
-            seen.add(index)
-            stack.append((index, True))
-            for j in nodes[index].inputs:
-                if j not in seen:
-                    stack.append((j, False))
-    return order
 
 
 # -------------------------------------------------------------- GradPlan
@@ -1131,25 +1036,16 @@ class GradPlan:
     tape's floating-point operations bit for bit.
     """
 
-    def __init__(
-        self,
-        graph: TrainGraph,
-        model: Module,
-        exact: bool = False,
-        fuse: bool = True,
-    ):
+    def __init__(self, graph: TrainGraph, model: Module, exact: bool = False):
         nodes = [Node(n.op, n.inputs, dict(n.params)) for n in graph.nodes]
         shapes = list(graph.shapes)
         self.exact = exact
         self.bn_updates = [dict(u) for u in graph.bn_updates]
-        protected = {graph.input, graph.logits, graph.loss}
-        if graph.label is not None:
-            protected.add(graph.label)
-        if exact or not fuse:
-            self.n_fused = 0
-        else:
-            self.n_fused = _fuse_conv_bn_relu(nodes, shapes, protected)
-            self.n_fused += _fuse_bn_relu(nodes, shapes, protected)
+        if not exact:
+            protected = {graph.input, graph.logits, graph.loss}
+            if graph.label is not None:
+                protected.add(graph.label)
+            _fuse_bn_relu(nodes, protected)
         grad_of = _derive_backward(nodes, shapes, graph.loss, graph.sample_loss)
         self._grad_index = {
             nodes[i].params["name"]: grad_of[i]
@@ -1160,12 +1056,7 @@ class GradPlan:
             u["var"] for u in self.bn_updates
         ]
         roots = [graph.loss, graph.logits, *self._grad_index.values(), *stat_nodes]
-        order = _toposort_multi(nodes, roots)
-        table = KTABLE_EXACT if exact else KTABLE_FAST
-        for i in order:
-            op = nodes[i].op
-            if op not in _LEAF_OPS and op not in table:
-                raise CompileError(f"no runtime kernel for op {op!r}")
+        order = _toposort(nodes, roots)
         # Wire shared-scratch references now that node copies are final:
         # a backward conv reads the padded input its forward kernel cached.
         for i in order:
@@ -1190,8 +1081,7 @@ class GradPlan:
                 buffers[full] = (module, local)
         self._param_slots: list[tuple[int, object]] = []
         self._buffer_slots: list[tuple[int, Module, str]] = []
-        live = set(order)
-        for i in live:
+        for i in order:
             node = nodes[i]
             if node.op == "param":
                 name = node.params["name"]
@@ -1209,48 +1099,18 @@ class GradPlan:
         # preset once and survive every run; everything non-leaf is a
         # runtime step.
         self._slots: list = [None] * len(nodes)
-        for i in live:
+        for i in order:
             if nodes[i].op == "value":
                 value = nodes[i].params["value"]
                 self._slots[i] = (
                     value.copy() if isinstance(value, np.ndarray) else value
                 )
         steps = [i for i in order if nodes[i].op not in _LEAF_OPS]
-        roots_set = set(roots)
-        step_set = set(steps)
-        last_use: dict[int, int] = {}
-        for i in steps:
-            for j in nodes[i].inputs:
-                if j in step_set:
-                    last_use[j] = i
-        frees_at: dict[int, list[int]] = {}
-        for value, step in last_use.items():
-            if value not in roots_set:
-                frees_at.setdefault(step, []).append(value)
-        aliased: set[int] = set()
-        for i in steps:
-            if nodes[i].op in _VIEW_OPS:
-                aliased.add(i)
-                aliased.update(nodes[i].inputs)
-        self._steps = []
-        for i in steps:
-            op = nodes[i].op
-            frees = tuple(frees_at.get(i, ()))
-            inplace = None
-            if not exact and op in ("relu", "add", "add_acc"):
-                for pos, j in enumerate(nodes[i].inputs):
-                    if j in frees and j not in aliased and j in step_set:
-                        inplace = pos
-                        break
-            kernel = table[op] if op != "value" else None
-            self._steps.append(
-                (kernel, nodes[i].inputs, i, nodes[i].params, frees,
-                 op if inplace is not None else None, inplace)
-            )
+        self._steps = _schedule(
+            nodes, steps, set(roots),
+            KTABLE_EXACT if exact else KTABLE_FAST, inplace=not exact,
+        )
         self._runtime_slots = steps
-        self.op_counts: dict[str, int] = {}
-        for i in steps:
-            self.op_counts[nodes[i].op] = self.op_counts.get(nodes[i].op, 0) + 1
 
     @property
     def n_steps(self) -> int:
@@ -1270,23 +1130,7 @@ class GradPlan:
         for i, module, local in self._buffer_slots:
             slots[i] = module._buffers[local]
         try:
-            for kernel, inputs, out_index, params, frees, iop, ipos in self._steps:
-                args = [slots[j] for j in inputs]
-                if iop == "relu":
-                    out = np.maximum(args[0], 0.0, out=args[0])
-                elif (
-                    iop in ("add", "add_acc")
-                    and isinstance(args[0], np.ndarray)
-                    and isinstance(args[1], np.ndarray)
-                    and args[0].shape == args[1].shape
-                    and args[0].dtype == args[1].dtype
-                ):
-                    out = np.add(args[0], args[1], out=args[ipos])
-                else:
-                    out = kernel(args, params)
-                slots[out_index] = out
-                for j in frees:
-                    slots[j] = None
+            _run_steps(slots, self._steps)
             loss = slots[self._loss]
             logits = slots[self._logits]
             grads = {name: slots[i] for name, i in self._grad_index.items()}

@@ -12,9 +12,11 @@ Compilation passes, in order:
    (``weight * mask``) is constant, so densified weights are computed once
    at refresh time instead of on every forward.
 3. **Dead-code elimination + scheduling** — a topological walk from the
-   output keeps only live nodes, orders the runtime steps, and attaches a
-   free list to each step so intermediate activations are dropped at their
-   last use.
+   output keeps only live nodes, and the shared scheduler
+   (:func:`_schedule`, also used by :class:`~repro.infer.grad.GradPlan`)
+   orders the runtime steps, attaches a free list to each step so
+   intermediate activations are dropped at their last use, and marks
+   in-place candidates; :func:`_run_steps` is the one loop that runs them.
 
 :meth:`CompiledPlan.refresh` re-resolves ``param``/``buffer`` leaves *by
 name* from the live model (``load_state_dict`` and ``set_buffer`` rebind
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.functional import _im2col
-from repro.infer.trace import Graph, Node
+from repro.infer.trace import _LEAF_OPS, Graph, Node
 from repro.nn.module import Module
 
 
@@ -377,7 +379,117 @@ KERNELS = {
     "bn_affine": _k_bn_affine,
 }
 
-_LEAVES = ("input", "param", "buffer", "value")
+# Reference table for ``exact=True`` plans: the module's own conv and
+# eval-BatchNorm arithmetic.
+KERNELS_EXACT = {
+    **KERNELS,
+    "conv2d": _k_conv2d_exact,
+    "batch_norm": _k_batch_norm_exact,
+}
+
+
+# ------------------------------------------------------------ shared scheduler
+# Both plan kinds (this module's eval plans and ``grad.GradPlan``) lower a
+# node list to the same flat step list and run it through the same loop.
+
+# Ops whose runtime kernel may return a view of an input (or of a tuple
+# element); neither these slots nor their inputs may ever be overwritten by
+# an in-place rewrite.
+_VIEW_OPS = frozenset(
+    {"reshape", "transpose", "getitem", "tuple_get", "slice_axis", "unpad2d"}
+)
+
+# Elementwise ops that may overwrite a dying input buffer, mapped to the
+# in-place form :func:`_run_steps` executes.
+_INPLACE_OPS = {"relu": "relu", "add": "add", "add_acc": "add"}
+
+
+def _toposort(nodes: list[Node], roots: list[int]) -> list[int]:
+    """Live node indices in dependency order (iterative post-order DFS,
+    one walk per root, sharing the visited set)."""
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in roots:
+        stack: list[tuple[int, bool]] = [(root, False)]
+        while stack:
+            index, done = stack.pop()
+            if done:
+                order.append(index)
+                continue
+            if index in seen:
+                continue
+            seen.add(index)
+            stack.append((index, True))
+            for j in nodes[index].inputs:
+                if j not in seen:
+                    stack.append((j, False))
+    return order
+
+
+def _schedule(
+    nodes: list[Node], steps: list[int], keep: set[int], table: dict, inplace: bool
+) -> list[tuple]:
+    """Lower the node indices ``steps`` (in run order) to step tuples
+    ``(kernel, inputs, out, params, frees, iop, ipos)``.
+
+    ``frees`` drops each step-produced value right after the step that
+    consumes it last, except the ``keep`` values the caller reads back.
+    With ``inplace``, an elementwise op may overwrite (``iop``) the input
+    at position ``ipos`` when that input dies at this very step and no
+    view can alias its buffer.
+    """
+    step_set = set(steps)
+    last_use: dict[int, int] = {}
+    for i in steps:
+        for j in nodes[i].inputs:
+            if j in step_set:
+                last_use[j] = i
+    frees_at: dict[int, list[int]] = {}
+    for value, step in last_use.items():
+        if value not in keep:
+            frees_at.setdefault(step, []).append(value)
+    aliased: set[int] = set()
+    for i in steps:
+        if nodes[i].op in _VIEW_OPS:
+            aliased.add(i)
+            aliased.update(nodes[i].inputs)
+    schedule = []
+    for i in steps:
+        node = nodes[i]
+        kernel = table.get(node.op)
+        if kernel is None:
+            raise CompileError(f"no runtime kernel for op {node.op!r}")
+        frees = tuple(frees_at.get(i, ()))
+        ipos = None
+        if inplace and node.op in _INPLACE_OPS:
+            ipos = next(
+                (p for p, j in enumerate(node.inputs) if j in frees and j not in aliased),
+                None,
+            )
+        iop = None if ipos is None else _INPLACE_OPS[node.op]
+        schedule.append((kernel, node.inputs, i, node.params, frees, iop, ipos))
+    return schedule
+
+
+def _run_steps(slots: list, steps: list[tuple]) -> None:
+    """Stream a :func:`_schedule` step list through the slot table."""
+    for kernel, inputs, out_index, params, frees, iop, ipos in steps:
+        args = [slots[j] for j in inputs]
+        if iop == "relu":
+            out = np.maximum(args[0], 0.0, out=args[0])
+        elif (
+            iop == "add"
+            and isinstance(args[0], np.ndarray)
+            and isinstance(args[1], np.ndarray)
+            and args[0].shape == args[1].shape
+            and args[0].dtype == args[1].dtype
+        ):
+            out = np.add(args[0], args[1], out=args[ipos])
+        else:
+            out = kernel(args, params)
+        slots[out_index] = out
+        for j in frees:
+            slots[j] = None
 
 
 # ----------------------------------------------------------- compile passes
@@ -389,7 +501,7 @@ def _runtime_flags(nodes: list[Node], input_index: int) -> list[bool]:
     for i, node in enumerate(nodes):
         if i == input_index:
             runtime[i] = True
-        elif node.op not in _LEAVES:
+        elif node.op not in _LEAF_OPS:
             runtime[i] = any(runtime[j] for j in node.inputs)
     return runtime
 
@@ -446,26 +558,6 @@ def _rewrite_batch_norm(graph: Graph, fold_bn: bool) -> tuple[list[Node], int]:
     return nodes, n_folded
 
 
-def _toposort(nodes: list[Node], output: int) -> list[int]:
-    """Live node indices in dependency order (iterative post-order DFS)."""
-    order: list[int] = []
-    seen: set[int] = set()
-    stack: list[tuple[int, bool]] = [(output, False)]
-    while stack:
-        index, done = stack.pop()
-        if done:
-            order.append(index)
-            continue
-        if index in seen:
-            continue
-        seen.add(index)
-        stack.append((index, True))
-        for j in nodes[index].inputs:
-            if j not in seen:
-                stack.append((j, False))
-    return order
-
-
 class CompiledPlan:
     """An executable eval-mode forward for one input shape/dtype.
 
@@ -480,7 +572,6 @@ class CompiledPlan:
     """
 
     def __init__(self, graph: Graph, fold_bn: bool = True, exact: bool = False):
-        _exact_kernels = {"conv2d": _k_conv2d_exact, "batch_norm": _k_batch_norm_exact}
         if exact:
             # Reference mode keeps batch_norm nodes as traced; the rewrite's
             # x·scale + shift form is algebraically equal but rounds
@@ -489,17 +580,10 @@ class CompiledPlan:
             self.n_folded = 0
         else:
             nodes, self.n_folded = _rewrite_batch_norm(graph, fold_bn)
-        order = _toposort(nodes, graph.output)
-        live = set(order)
-        if graph.input not in live:
+        order = _toposort(nodes, [graph.output])
+        if graph.input not in order:
             raise CompileError("plan output does not depend on the input")
         runtime = _runtime_flags(nodes, graph.input)
-
-        for i in order:
-            op = nodes[i].op
-            if op in _LEAVES or op in KERNELS or (exact and op in _exact_kernels):
-                continue
-            raise CompileError(f"no runtime kernel for op {op!r}")
 
         self._nodes = nodes
         self._input = graph.input
@@ -507,49 +591,19 @@ class CompiledPlan:
         self._const_order = [
             i for i in order if not runtime[i] and nodes[i].op != "input"
         ]
-        # Last-use bookkeeping: free each runtime intermediate right after
-        # the step that consumes it last (the output survives the sweep).
-        runtime_steps = [
-            i for i in order if runtime[i] and nodes[i].op not in _LEAVES
-        ]
-        last_use: dict[int, int] = {}
-        for step in runtime_steps:
-            for j in self._nodes[step].inputs:
-                if runtime[j]:
-                    last_use[j] = step
-        frees_at: dict[int, list[int]] = {}
-        for value, step in last_use.items():
-            if value not in (self._output, self._input):
-                frees_at.setdefault(step, []).append(value)
-        # Slots touching a view-producing op may alias another slot's
-        # buffer, so they are never written in place.
-        aliased: set[int] = set()
-        for i in runtime_steps:
-            if nodes[i].op in ("reshape", "transpose", "getitem"):
-                aliased.add(i)
-                aliased.update(nodes[i].inputs)
-        self._steps = []
-        for i in runtime_steps:
+        # Constants are evaluated by :meth:`refresh`, always with KERNELS.
+        for i in self._const_order:
             op = nodes[i].op
-            frees = tuple(frees_at.get(i, ()))
-            # In-place candidate: an elementwise op may overwrite an input
-            # buffer that dies at this very step and cannot be aliased.
-            inplace = None
-            if not exact and op in ("relu", "add"):
-                for pos, j in enumerate(nodes[i].inputs):
-                    if j in frees and j not in aliased and runtime[j]:
-                        inplace = pos
-                        break
-            kernel = (
-                _exact_kernels[op]
-                if exact and op in _exact_kernels
-                else KERNELS[op]
-            )
-            self._steps.append(
-                (kernel, nodes[i].inputs, i, nodes[i].params, frees,
-                 op if inplace is not None else None, inplace)
-            )
-        self._runtime_slots = [i for i in runtime_steps if i != self._output]
+            if op not in _LEAF_OPS and op not in KERNELS:
+                raise CompileError(f"no runtime kernel for op {op!r}")
+        runtime_steps = [
+            i for i in order if runtime[i] and nodes[i].op not in _LEAF_OPS
+        ]
+        self._steps = _schedule(
+            nodes, runtime_steps, {graph.output},
+            KERNELS_EXACT if exact else KERNELS, inplace=not exact,
+        )
+        self._runtime_slots = runtime_steps
         self._slots: list = [None] * len(nodes)
         self.op_counts: dict[str, int] = {}
         for i in runtime_steps:
@@ -619,26 +673,9 @@ class CompiledPlan:
         slots = self._slots
         slots[self._input] = x
         try:
-            for kernel, inputs, out_index, params, frees, iop, ipos in self._steps:
-                args = [slots[j] for j in inputs]
-                if iop == "relu":
-                    out = np.maximum(args[0], 0.0, out=args[0])
-                elif (
-                    iop == "add"
-                    and isinstance(args[0], np.ndarray)
-                    and isinstance(args[1], np.ndarray)
-                    and args[0].shape == args[1].shape
-                    and args[0].dtype == args[1].dtype
-                ):
-                    out = np.add(args[0], args[1], out=args[ipos])
-                else:
-                    out = kernel(args, params)
-                slots[out_index] = out
-                for j in frees:
-                    slots[j] = None
+            _run_steps(slots, self._steps)
             return slots[self._output]
         finally:
             slots[self._input] = None
             for i in self._runtime_slots:
                 slots[i] = None
-            slots[self._output] = None

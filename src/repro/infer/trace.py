@@ -61,12 +61,6 @@ class Graph:
     output: int
     sample_output: np.ndarray  # module output on the traced sample
 
-    def count_ops(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.op] = counts.get(node.op, 0) + 1
-        return counts
-
 
 @dataclass
 class TrainGraph:
@@ -99,13 +93,8 @@ class TrainGraph:
     sample_loss: np.ndarray
     sample_logits: np.ndarray
 
-    def count_ops(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.op] = counts.get(node.op, 0) + 1
-        return counts
 
-
+# Leaf ops of traced graphs: slots bound from outside, never runtime steps.
 _LEAF_OPS = frozenset({"input", "param", "buffer", "value", "label"})
 
 

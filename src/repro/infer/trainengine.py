@@ -90,6 +90,19 @@ def _grad_close(got, want, exact: bool) -> bool:
     return diff <= _GRAD_RNORM * (float(np.linalg.norm(want.ravel())) + _GRAD_ATOL)
 
 
+def _update_running_stats(buffers: dict, bn_updates: list[dict], stats) -> None:
+    """Replay ``functional.batch_norm``'s in-place running-stat update on
+    the named arrays in ``buffers`` from a plan's batch ``(mean, var)``s."""
+    for upd, (mean, var) in zip(bn_updates, stats):
+        momentum, m = upd["momentum"], upd["m"]
+        rm = buffers[upd["running_mean"]]
+        rm *= 1.0 - momentum
+        rm += momentum * mean
+        rv = buffers[upd["running_var"]]
+        rv *= 1.0 - momentum
+        rv += momentum * var * (m / max(m - 1, 1))
+
+
 def _mask_signature(model: Module) -> tuple:
     """Which prunable layers currently have an active mask.
 
@@ -175,17 +188,11 @@ class TrainEngine(HeldModel):
                 raise CompileError(f"gradient parity failed for {name!r}")
         # The running-stat update, simulated on copies, must land on the
         # same values the real train-mode forward wrote.
-        buffers = dict(self.model.named_buffers())
-        for upd, (mean, var) in zip(plan.bn_updates, stats):
-            momentum, m = upd["momentum"], upd["m"]
-            rm = buffers[upd["running_mean"]].copy()
-            rm *= 1.0 - momentum
-            rm += momentum * mean
-            rv = buffers[upd["running_var"]].copy()
-            rv *= 1.0 - momentum
-            rv += momentum * var * (m / max(m - 1, 1))
-            for name, got in ((upd["running_mean"], rm), (upd["running_var"], rv)):
-                if not _close(got, want_buffers[name], plan.exact):
+        buffers = {name: buf.copy() for name, buf in self.model.named_buffers()}
+        _update_running_stats(buffers, plan.bn_updates, stats)
+        for upd in plan.bn_updates:
+            for name in (upd["running_mean"], upd["running_var"]):
+                if not _close(buffers[name], want_buffers[name], plan.exact):
                     raise CompileError(f"running-stat parity failed for {name!r}")
 
     def _compile(self, x: np.ndarray, y: np.ndarray) -> GradPlan | None:
@@ -239,7 +246,10 @@ class TrainEngine(HeldModel):
             observe.incr("trainc.fallback_batches")
             return self._tape_step(x, y)
         loss, logits, grads, stats = plan.run(x, y)
-        self._apply_bn_updates(plan, stats)
+        if plan.bn_updates:
+            _update_running_stats(
+                dict(self.model.named_buffers()), plan.bn_updates, stats
+            )
         self.optimizer.apply(self._aligned(grads))
         observe.incr("trainc.batches")
         return float(loss), logits
@@ -250,19 +260,6 @@ class TrainEngine(HeldModel):
         return self._plans.get((x.shape, x.dtype.str, np.asarray(y).shape)) is not None
 
     # ------------------------------------------------------------ internals
-
-    def _apply_bn_updates(self, plan: GradPlan, stats) -> None:
-        if not plan.bn_updates:
-            return
-        buffers = dict(self.model.named_buffers())
-        for upd, (mean, var) in zip(plan.bn_updates, stats):
-            momentum, m = upd["momentum"], upd["m"]
-            rm = buffers[upd["running_mean"]]
-            rm *= 1.0 - momentum
-            rm += momentum * mean
-            rv = buffers[upd["running_var"]]
-            rv *= 1.0 - momentum
-            rv += momentum * var * (m / max(m - 1, 1))
 
     def _aligned(self, grads: dict) -> list:
         """Plan gradients in ``optimizer.params`` order (None where absent)."""

@@ -142,42 +142,54 @@ def oracle_plan_parity(
     return report
 
 
-def oracle_registry_plan_parity(
-    batch: int = 4, atol: float = 1e-5
-) -> VerificationReport:
-    """Plan-vs-module parity for every registry model, pruned and unpruned.
+def _registry_probes(batch: int, with_targets: bool = False):
+    """Yield ``(subject, model, inputs, targets)`` for every registry model.
 
-    Each architecture is built at its registry default width, checked
-    fresh, then checked again after zeroing the bottom half of every
-    prunable layer's weights (median-|w| masks) — the state the study
-    loops actually evaluate in.
+    Each architecture is built at its registry default width and yielded
+    fresh, then again after zeroing the bottom half of every prunable
+    layer's weights (median-|w| masks) — the state the study loops
+    evaluate and retrain in.  ``targets`` (drawn only ``with_targets``, so
+    the input stream is the same either way) are class labels, dense for
+    the segmentation model.
     """
     from repro.models.registry import available_models, build_model
     from repro.nn.prunable import PrunableWeightMixin
 
     rng = np.random.default_rng(0)
-    reports: list[VerificationReport] = []
     for name in available_models():
         model = build_model(name, rng=np.random.default_rng(3))
         shape = (batch, 3, 4, 4) if name == "mlp" else (batch, 3, 16, 16)
         inputs = rng.standard_normal(shape).astype(np.float32)
-        for variant in ("unpruned", "pruned"):
-            if variant == "pruned":
-                for module in model.modules():
-                    if isinstance(module, PrunableWeightMixin):
-                        weight = module.weight.data
-                        cut = np.median(np.abs(weight))
-                        module.set_weight_mask(
-                            (np.abs(weight) > cut).astype(np.float32)
-                        )
-            sub = VerificationReport(subject=f"{name}[{variant}]")
-            try:
-                oracle_plan_parity(model, inputs, report=sub, atol=atol)
-            except Exception as exc:  # noqa: BLE001 — one broken entry
-                # (e.g. a leaked custom registration that cannot run the
-                # probe shape) must not abort the whole registry audit.
-                sub.add("plan_parity", False, detail=f"probe crashed: {exc!r}")
-            reports.append(sub)
+        targets = None
+        if with_targets:
+            if name == "deeplab_small":  # dense labels, 6 classes
+                targets = rng.integers(0, 6, (batch, 16, 16))
+            else:
+                targets = rng.integers(0, 10, batch)
+        yield f"{name}[unpruned]", model, inputs, targets
+        for module in model.modules():
+            if isinstance(module, PrunableWeightMixin):
+                weight = module.weight.data
+                cut = np.median(np.abs(weight))
+                module.set_weight_mask((np.abs(weight) > cut).astype(np.float32))
+        yield f"{name}[pruned]", model, inputs, targets
+
+
+def oracle_registry_plan_parity(
+    batch: int = 4, atol: float = 1e-5
+) -> VerificationReport:
+    """Plan-vs-module parity for every registry model, pruned and unpruned
+    (see :func:`_registry_probes`)."""
+    reports: list[VerificationReport] = []
+    for subject, model, inputs, _ in _registry_probes(batch):
+        sub = VerificationReport(subject=subject)
+        try:
+            oracle_plan_parity(model, inputs, report=sub, atol=atol)
+        except Exception as exc:  # noqa: BLE001 — one broken entry
+            # (e.g. a leaked custom registration that cannot run the
+            # probe shape) must not abort the whole registry audit.
+            sub.add("plan_parity", False, detail=f"probe crashed: {exc!r}")
+        reports.append(sub)
     from repro.verify.report import merge_reports
 
     return merge_reports("registry plan parity", reports)
@@ -255,41 +267,19 @@ def oracle_grad_plan_parity(
 def oracle_registry_grad_plan_parity(batch: int = 4) -> VerificationReport:
     """Gradient-plan-vs-tape parity for every registry model, pruned and unpruned.
 
-    The training-path twin of :func:`oracle_registry_plan_parity`: each
-    architecture is probed fresh and again with median-|w| masks — the
-    state :class:`~repro.training.Trainer` actually retrains — so the
-    compiled default of ``Trainer.train`` is proven against the tape for
-    the whole model zoo.
+    The training-path twin of :func:`oracle_registry_plan_parity`, over
+    the same probes — so the compiled default of ``Trainer.train`` is
+    proven against the tape for the whole model zoo.
     """
-    from repro.models.registry import available_models, build_model
-    from repro.nn.prunable import PrunableWeightMixin
-
-    rng = np.random.default_rng(0)
     reports: list[VerificationReport] = []
-    for name in available_models():
-        model = build_model(name, rng=np.random.default_rng(3))
-        shape = (batch, 3, 4, 4) if name == "mlp" else (batch, 3, 16, 16)
-        inputs = rng.standard_normal(shape).astype(np.float32)
-        if name == "deeplab_small":  # dense labels, 6 classes
-            targets = rng.integers(0, 6, (batch, 16, 16))
-        else:
-            targets = rng.integers(0, 10, batch)
-        for variant in ("unpruned", "pruned"):
-            if variant == "pruned":
-                for module in model.modules():
-                    if isinstance(module, PrunableWeightMixin):
-                        weight = module.weight.data
-                        cut = np.median(np.abs(weight))
-                        module.set_weight_mask(
-                            (np.abs(weight) > cut).astype(np.float32)
-                        )
-            sub = VerificationReport(subject=f"{name}[{variant}]")
-            try:
-                oracle_grad_plan_parity(model, inputs, targets, report=sub)
-            except Exception as exc:  # noqa: BLE001 — one broken entry
-                # must not abort the whole registry audit.
-                sub.add("grad_plan_parity", False, detail=f"probe crashed: {exc!r}")
-            reports.append(sub)
+    for subject, model, inputs, targets in _registry_probes(batch, with_targets=True):
+        sub = VerificationReport(subject=subject)
+        try:
+            oracle_grad_plan_parity(model, inputs, targets, report=sub)
+        except Exception as exc:  # noqa: BLE001 — one broken entry
+            # must not abort the whole registry audit.
+            sub.add("grad_plan_parity", False, detail=f"probe crashed: {exc!r}")
+        reports.append(sub)
     from repro.verify.report import merge_reports
 
     return merge_reports("registry grad-plan parity", reports)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.experiments import SMOKE, ZooSpec
+from repro.models.registry import available_models
 from repro.pruning import build_method
 from repro.pruning.mask import prunable_layers
 from repro.verify import (
     oracle_jobs_equivalence,
     oracle_masked_forward,
     oracle_plan_parity,
+    oracle_registry_grad_plan_parity,
     oracle_registry_plan_parity,
     oracle_retrain_determinism,
     oracle_save_load_roundtrip,
@@ -102,10 +104,19 @@ class TestPlanParityOracle:
         (result,) = report.failures
         assert result.name == "plan_parity_unfolded"
 
-    @pytest.mark.tier2
-    def test_registry_sweep(self):
-        report = oracle_registry_plan_parity()
+    @pytest.mark.parametrize(
+        "oracle",
+        [oracle_registry_plan_parity, oracle_registry_grad_plan_parity],
+        ids=["plan", "grad_plan"],
+    )
+    def test_registry_sweep(self, oracle):
+        # Bitwise (exact-mode) parity on every registry architecture,
+        # pruned and unpruned: the gate for any change to the plan
+        # scheduler or kernels.
+        report = oracle()
         assert report.passed, report.summary()
+        # Two checks per (architecture, pruned/unpruned) entry.
+        assert len(report.results) == 2 * 2 * len(available_models())
 
 
 @pytest.mark.tier2
