@@ -261,7 +261,7 @@ def cmd_verify(args) -> int:
         # --deep also proves both compiled engines: inference-plan logits
         # must match module logits, and gradient-plan training steps must
         # match the tape (bitwise in exact mode), for every registry
-        # model, pruned and unpruned.
+        # model, unpruned, pruned and channel-pruned.
         report = merge_reports(
             report.subject,
             [

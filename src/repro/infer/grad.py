@@ -336,9 +336,9 @@ def _conv_grad_w(g, x, params):
     n, _, oh, ow = g.shape
     gw = np.empty(params["wshape"], dtype=g.dtype)
     fwd = params.get("_fwd")
-    scratch = fwd.get("_scratch") if params.get("_use_shared") and fwd else None
-    if scratch is not None and scratch[0].shape[:2] == (c, n):
-        xp = scratch[0]  # (c, n, hp, wp), interior = this batch (stride 1)
+    xp = fwd.get("_scratch") if params.get("_use_shared") and fwd else None
+    if xp is not None and xp.shape[:2] == (c, n):
+        # xp is (c, n, hp, wp), its interior this batch's input (stride 1).
         gt = g.transpose(1, 0, 2, 3)
         for dy in range(kh):
             for dx in range(kw):
@@ -822,12 +822,9 @@ class _Deriver:
             wshape = self.shapes[ins[1]]
             stride, padding = node.params["stride"], node.params["padding"]
             kh, kw = wshape[2], wshape[3]
-            use_shared = (
-                stride == 1 and kh * kw > 1 and oshape[2] * oshape[3] >= 32
-            )
             wp = {
                 "stride": stride, "padding": padding, "wshape": wshape,
-                "_use_shared": use_shared, "_fwd_node": i,
+                "_use_shared": stride == 1 and kh * kw > 1, "_fwd_node": i,
             }
             xp = {"stride": stride, "padding": padding, "xshape": xshape}
             out = [

@@ -17,12 +17,17 @@ Compilation passes, in order:
    orders the runtime steps, attaches a free list to each step so
    intermediate activations are dropped at their last use, and marks
    in-place candidates; :func:`_run_steps` is the one loop that runs them.
+4. **Live width** (fast plans only) — :func:`_live_width_walks` pairs each
+   constant-weight conv with the conv that produces its input, across
+   single-consumer channel-wise ops; at every refresh the conv reads only
+   the input channels its densified weight uses, and that producer
+   computes only those channels (:meth:`CompiledPlan._narrow`).
 
 :meth:`CompiledPlan.refresh` re-resolves ``param``/``buffer`` leaves *by
 name* from the live model (``load_state_dict`` and ``set_buffer`` rebind
-the underlying arrays, so identity capture would go stale) and re-evaluates
-every constant node.  The engine calls it whenever the model's state
-signature changes.
+the underlying arrays, so identity capture would go stale), re-evaluates
+every constant node and reapplies the live-width pass.  The engine calls
+it whenever the model's state signature changes.
 """
 
 from __future__ import annotations
@@ -155,71 +160,93 @@ def _k_pad2d(args, params):
 
 
 def _k_conv2d(args, params):
-    """Convolution, routed per shape to the fastest of three schedules.
+    """Convolution over a pad-once *channel-first* scratch, by one of two
+    routes (:func:`_conv_per_offset` picks):
 
-    - tiny output maps: classic ``im2col`` gather + one big GEMM;
-    - stride-1 k×k (the hot path): pad once into a *channel-first*
-      scratch, then one contiguous-view GEMM per kernel offset with
-      ``out=`` into a reused buffer — no per-offset gather copies, at the
-      cost of ~(hp·wp)/(oh·ow) extra FLOPs on the padded map;
-    - everything else (1×1 / strided): one ``tensordot`` per offset over
-      strided views.
+    - per offset: one GEMM per kernel offset over the whole flat padded
+      map, accumulated through shifted views — no gather copies, at the
+      cost of ~(hp·wp)/(oh·ow) extra FLOPs on the padded border;
+    - im2col: ``kh·kw`` slice copies out of the scratch build one
+      ``(c·kh·kw, n·oh·ow)`` matrix, then one GEMM.
 
-    All three orderings stay within the fold-rounding parity budget; the
-    compile self-check validates whichever route this shape takes.
+    The padded input (``params["_scratch"]``) persists across runs, border
+    zeroed once; a gradient plan's weight gradient reads it back.  The
+    im2col matrix is allocated per call: kept resident it would cost
+    ``kh·kw`` times the scratch in every conv.  ``params["gather"]``, set
+    by the live-width pass, selects the input channels the weight reads.
+    Every ordering stays within the fold-rounding parity budget; the
+    compile self-check validates whichever route a shape takes.
     """
     x, w = args[0], args[1]
+    gather = params.get("gather")
+    if gather is not None:
+        x = x[:, gather]
     f, c, kh, kw = w.shape
     n, _, h, wi = x.shape
     stride, padding = params["stride"], params["padding"]
     hp, wp = h + 2 * padding, wi + 2 * padding
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    if oh * ow < 32:
-        cols, oh, ow = _im2col(x, kh, kw, stride, padding)
-        out = cols @ w.reshape(f, -1).T
-        if len(args) == 3:
-            out += args[2]
-        return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    if stride == 1 and kh * kw > 1:
-        # Scratch buffers persist across runs (plans are shape-specific);
-        # the padded border is zeroed once and only the interior is
-        # rewritten.  The accumulator is NOT reused: it leaves the kernel
-        # as the node's output and may be returned to the caller.
-        scratch = params.get("_scratch")
-        if scratch is None or scratch[0].shape != (c, n, hp, wp):
-            scratch = (
-                np.zeros((c, n, hp, wp), dtype=x.dtype),
-                np.empty((f, n * hp * wp), dtype=x.dtype),
-            )
-            params["_scratch"] = scratch
-        xp, tbuf = scratch
-        xp[:, :, padding : padding + h, padding : padding + wi] = x.transpose(
-            1, 0, 2, 3
-        )
-        flat = xp.reshape(c, -1)
-        acc = np.zeros((f, n, oh, ow), dtype=x.dtype)
+    xp = params.get("_scratch")
+    if xp is None or xp.shape != (c, n, hp, wp) or xp.dtype != x.dtype:
+        xp = np.zeros((c, n, hp, wp), dtype=x.dtype)
+        params["_scratch"] = xp
+    xp[:, :, padding : padding + h, padding : padding + wi] = x.transpose(1, 0, 2, 3)
+    cols_bytes = c * kh * kw * n * oh * ow * x.itemsize
+    if _conv_per_offset(c, f, hp * wp, oh * ow, stride, kh * kw, cols_bytes):
+        # The accumulator is NOT reused: it leaves the kernel as the
+        # node's output and may be returned to the caller.
+        tbuf = params.get("_scratch_t")
+        if tbuf is None or tbuf.shape != (f, n * hp * wp) or tbuf.dtype != x.dtype:
+            tbuf = np.empty((f, n * hp * wp), dtype=x.dtype)
+            params["_scratch_t"] = tbuf
+        flat = xp.reshape(c, n * hp * wp)
+        out = np.zeros((f, n, oh, ow), dtype=x.dtype)
         for dy in range(kh):
             for dx in range(kw):
                 np.matmul(w[:, :, dy, dx], flat, out=tbuf)
-                acc += tbuf.reshape(f, n, hp, wp)[:, :, dy : dy + oh, dx : dx + ow]
-        if len(args) == 3:
-            acc += args[2].reshape(f, 1, 1, 1)
-        return acc.transpose(1, 0, 2, 3)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    acc = None
-    for dy in range(kh):
-        for dx in range(kw):
-            xs = x[:, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride]
-            t = np.tensordot(w[:, :, dy, dx], xs, axes=([1], [1]))
-            if acc is None:
-                acc = t
-            else:
-                acc += t
+                out += tbuf.reshape(f, n, hp, wp)[:, :, dy : dy + oh, dx : dx + ow]
+    else:
+        if kh * kw == 1 and stride == 1:
+            cols = xp.reshape(c, n * oh * ow)
+        else:
+            cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+            for dy in range(kh):
+                for dx in range(kw):
+                    cols[:, dy, dx] = xp[
+                        :, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride
+                    ]
+            cols = cols.reshape(c * kh * kw, n * oh * ow)
+        out = (w.reshape(f, c * kh * kw) @ cols).reshape(f, n, oh, ow)
     if len(args) == 3:
-        acc += args[2].reshape(f, 1, 1, 1)
-    return acc.transpose(1, 0, 2, 3)
+        out += args[2].reshape(f, 1, 1, 1)
+    return out.transpose(1, 0, 2, 3)
+
+
+# glibc serves larger blocks with a fresh mmap on every call (its dynamic
+# mmap threshold tops out here on 64-bit hosts), and an im2col matrix that
+# must be page-faulted in on every call loses to the per-offset GEMMs.
+_IM2COL_MAX_BYTES = 32 * 2**20
+
+
+def _conv_per_offset(c, f, padded_px, out_px, stride, taps, cols_bytes):
+    """Route rule of :func:`_k_conv2d`, a function of the conv's shape only:
+    True picks the per-offset GEMMs, False the one im2col GEMM.
+
+    Per offset, the GEMMs write ``f·hp·wp`` values per image; im2col
+    copies ``c·oh·ow`` per image.  Both are multiplied by ``kh·kw``, and
+    the route writing less wins, unless the im2col matrix would outgrow
+    :data:`_IM2COL_MAX_BYTES`.  Strided and 1×1 convs always take im2col:
+    per offset they would compute the whole padded map.  Measured over 3×3
+    stride-1 convs with c, f in 2..64, maps 2×2 to 16×16 and 32 or 64 rows
+    (DESIGN.md §10), this rule takes 0.5% more time in total than always
+    picking the faster route; either route alone takes 51–62% more.
+    """
+    return (
+        stride == 1
+        and taps > 1
+        and (c * out_px > f * padded_px or cols_bytes > _IM2COL_MAX_BYTES)
+    )
 
 
 def _k_conv2d_exact(args, params):
@@ -558,6 +585,53 @@ def _rewrite_batch_norm(graph: Graph, fold_bn: bool) -> tuple[list[Node], int]:
     return nodes, n_folded
 
 
+# Runtime ops whose output channel j depends on input channel j alone (and
+# on constant side inputs): the live-width walk may cross them.
+_CHANNELWISE_OPS = frozenset({"relu", "bn_affine", "max_pool2d", "avg_pool2d"})
+
+
+def _live_width_walks(
+    nodes: list[Node], steps: list[int], runtime: list[bool], output: int
+) -> list[tuple[int, int | None, tuple[int, ...]]]:
+    """Static half of the live-width pass: ``(conv, producer, affines)`` for
+    every runtime conv whose weight (and bias) is a constant.
+
+    The walk starts at the conv's input and crosses single-consumer
+    channel-wise nodes.  ``producer`` is the single-consumer constant-weight
+    conv it ends at, or None when it ends anywhere else (a residual add, a
+    concatenation, the input): then the conv gathers its live channels
+    itself.  ``affines`` are the ``bn_affine`` nodes crossed, whose
+    per-channel constants are sliced with the producer's rows.
+    """
+    consumers = {output: 1}
+    for i in steps:
+        for j in nodes[i].inputs:
+            consumers[j] = consumers.get(j, 0) + 1
+
+    def const_side_inputs(i: int) -> bool:
+        return not any(runtime[j] for j in nodes[i].inputs[1:])
+
+    def const_conv(i: int) -> bool:
+        return nodes[i].op == "conv2d" and runtime[i] and const_side_inputs(i)
+
+    walks = []
+    for k in steps:
+        if not const_conv(k):
+            continue
+        x, affines = nodes[k].inputs[0], []
+        while (
+            consumers.get(x) == 1
+            and nodes[x].op in _CHANNELWISE_OPS
+            and const_side_inputs(x)
+        ):
+            if nodes[x].op == "bn_affine":
+                affines.append(x)
+            x = nodes[x].inputs[0]
+        producer = x if consumers.get(x) == 1 and const_conv(x) else None
+        walks.append((k, producer, tuple(affines)))
+    return walks
+
+
 class CompiledPlan:
     """An executable eval-mode forward for one input shape/dtype.
 
@@ -599,12 +673,25 @@ class CompiledPlan:
         runtime_steps = [
             i for i in order if runtime[i] and nodes[i].op not in _LEAF_OPS
         ]
-        self._steps = _schedule(
+        self._full_steps = _schedule(
             nodes, runtime_steps, {graph.output},
             KERNELS_EXACT if exact else KERNELS, inplace=not exact,
         )
+        self._steps = self._full_steps
         self._runtime_slots = runtime_steps
         self._slots: list = [None] * len(nodes)
+        # Live-width pass (fast plans only; :meth:`_narrow` applies it).
+        self._walks = [] if exact else _live_width_walks(
+            nodes, runtime_steps, runtime, graph.output
+        )
+        self._step_pos = {i: pos for pos, i in enumerate(runtime_steps)}
+        uses: dict[int, int] = {}
+        for i in order:
+            for j in nodes[i].inputs:
+                uses[j] = uses.get(j, 0) + 1
+        # Constant slots with more than one user: a sliced copy of one of
+        # these goes to a spare slot past the node slots instead.
+        self._shared = {j for j, n in uses.items() if n > 1}
         self.op_counts: dict[str, int] = {}
         for i in runtime_steps:
             op = nodes[i].op
@@ -623,7 +710,8 @@ class CompiledPlan:
         BN tensors) after the last :meth:`refresh` — the number a serving
         layer's plan-memory budget accounts against."""
         total = 0
-        for i in self._const_order:
+        spares = range(len(self._nodes), len(self._slots))
+        for i in (*self._const_order, *spares):
             value = self._slots[i]
             if isinstance(value, np.ndarray):
                 total += value.nbytes
@@ -667,6 +755,59 @@ class CompiledPlan:
                 slots[i] = KERNELS[node.op](
                     [slots[j] for j in node.inputs], node.params
                 )
+        if self._walks:
+            self._narrow()
+
+    def _narrow(self) -> None:
+        """Dynamic half of the live-width pass, rerun by every refresh.
+
+        A conv's live input channels are the nonzero columns of its
+        densified weight; every structured method masks whole columns, and
+        a zero column adds only zero terms, so dropping it is exact.  The
+        walk's producer then computes only those rows, and the affines on
+        the way keep only those channels; without a producer the conv
+        gathers them.  Steps are rebuilt from the full-width list, so a
+        refresh that revives a channel widens the plan again.
+        """
+        nodes, slots = self._nodes, self._slots
+        del slots[len(nodes):]  # the last refresh's spare slots
+        rows: dict[int, np.ndarray] = {}
+        cols: dict[int, np.ndarray] = {}
+        for k, producer, affines in self._walks:
+            w = slots[nodes[k].inputs[1]]
+            live = np.flatnonzero(np.any(w != 0, axis=(0, 2, 3)))
+            gather = None
+            if live.size < w.shape[1]:
+                cols[k] = live
+                if producer is None:
+                    gather = live
+                else:
+                    for i in (producer, *affines):
+                        rows[i] = live
+            if gather is None:
+                nodes[k].params.pop("gather", None)
+            else:
+                nodes[k].params["gather"] = gather
+        steps = list(self._full_steps)
+        for i in rows.keys() | cols.keys():
+            inputs = list(nodes[i].inputs)
+            r, c = rows.get(i), cols.get(i)
+            if nodes[i].op == "bn_affine":
+                sliced = {pos: slots[inputs[pos]][:, r] for pos in (1, 2)}
+            else:
+                w = slots[inputs[1]]
+                w = w if r is None else w[r]
+                sliced = {1: w if c is None else w[:, c]}
+                if r is not None and len(inputs) == 3:
+                    sliced[2] = slots[inputs[2]][r]
+            for pos, value in sliced.items():
+                if inputs[pos] in self._shared:
+                    inputs[pos] = len(slots)
+                    slots.append(None)
+                slots[inputs[pos]] = value
+            pos = self._step_pos[i]
+            steps[pos] = (steps[pos][0], tuple(inputs), *steps[pos][2:])
+        self._steps = steps
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the plan on one batch (constants must be refreshed)."""

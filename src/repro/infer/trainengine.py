@@ -103,6 +103,21 @@ def _update_running_stats(buffers: dict, bn_updates: list[dict], stats) -> None:
         rv += momentum * var * (m / max(m - 1, 1))
 
 
+def _free_tape(root: Tensor) -> None:
+    """Unlink a finished tape so that it dies by reference count.
+
+    Every op's backward closure holds its own output, so a tape is one big
+    reference cycle: left alone, a whole step's activations stay resident
+    until the cyclic garbage collector happens to run, and the peak memory
+    of a process that validates plans depends on when that is.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node._prev)
+        node._prev, node._backward = (), None
+
+
 def _mask_signature(model: Module) -> tuple:
     """Which prunable layers currently have an active mask.
 
@@ -165,7 +180,9 @@ class TrainEngine(HeldModel):
             stat_buffers = {
                 name: buf.copy() for name, buf in self.model.named_buffers()
             }
-            return float(loss.data), logits.data.copy(), grads, stat_buffers
+            result = float(loss.data), logits.data.copy(), grads, stat_buffers
+            _free_tape(loss)
+            return result
         finally:
             self.model.train(was_training)
             for (_, p), grad in zip(params, saved):

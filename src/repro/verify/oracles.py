@@ -146,14 +146,24 @@ def _registry_probes(batch: int, with_targets: bool = False):
     """Yield ``(subject, model, inputs, targets)`` for every registry model.
 
     Each architecture is built at its registry default width and yielded
-    fresh, then again after zeroing the bottom half of every prunable
-    layer's weights (median-|w| masks) — the state the study loops
-    evaluate and retrain in.  ``targets`` (drawn only ``with_targets``, so
-    the input stream is the same either way) are class labels, dense for
-    the segmentation model.
+    three times:
+
+    - ``[unpruned]``, fresh;
+    - ``[pruned]``, after zeroing the bottom half of every prunable
+      layer's weights (median-|w| masks) — the state the study loops
+      evaluate and retrain in;
+    - ``[channel-pruned]``, with only the lowest-ℓ1 half of the input
+      channels of every conv with ≥ 4 input channels masked (FT's
+      scoring), so whole channels are dead and the eval plan's live-width
+      pass narrows them.
+
+    ``targets`` (drawn only ``with_targets``, so the input stream is the
+    same either way) are class labels, dense for the segmentation model.
     """
     from repro.models.registry import available_models, build_model
     from repro.nn.prunable import PrunableWeightMixin
+    from repro.pruning.ft import channel_l1_sensitivity
+    from repro.pruning.mask import structured_prunable_layers
 
     rng = np.random.default_rng(0)
     for name in available_models():
@@ -173,13 +183,21 @@ def _registry_probes(batch: int, with_targets: bool = False):
                 cut = np.median(np.abs(weight))
                 module.set_weight_mask((np.abs(weight) > cut).astype(np.float32))
         yield f"{name}[pruned]", model, inputs, targets
+        model = build_model(name, rng=np.random.default_rng(3))
+        for _, conv in structured_prunable_layers(model):
+            score = channel_l1_sensitivity(conv.weight.data)
+            dead = np.argsort(score, kind="stable")[: len(score) // 2]
+            mask = np.ones(conv.weight.shape, dtype=np.float32)
+            mask[:, dead] = 0.0
+            conv.set_weight_mask(mask)
+        yield f"{name}[channel-pruned]", model, inputs, targets
 
 
 def oracle_registry_plan_parity(
     batch: int = 4, atol: float = 1e-5
 ) -> VerificationReport:
-    """Plan-vs-module parity for every registry model, pruned and unpruned
-    (see :func:`_registry_probes`)."""
+    """Plan-vs-module parity for every registry model: unpruned, pruned and
+    channel-pruned (see :func:`_registry_probes`)."""
     reports: list[VerificationReport] = []
     for subject, model, inputs, _ in _registry_probes(batch):
         sub = VerificationReport(subject=subject)
@@ -265,7 +283,7 @@ def oracle_grad_plan_parity(
 
 
 def oracle_registry_grad_plan_parity(batch: int = 4) -> VerificationReport:
-    """Gradient-plan-vs-tape parity for every registry model, pruned and unpruned.
+    """Gradient-plan-vs-tape parity for every registry model and probe state.
 
     The training-path twin of :func:`oracle_registry_plan_parity`, over
     the same probes — so the compiled default of ``Trainer.train`` is

@@ -9,6 +9,7 @@ import pytest
 from repro import nn
 from repro.autograd import Tensor, no_grad
 from repro.infer import InferenceEngine, adopt_engine, engine_for
+from repro.models.registry import build_model
 from repro.pruning import build_method
 from repro.pruning.mask import prunable_layers
 
@@ -115,6 +116,34 @@ class TestInvalidation:
         got = engine.logits(images)
         np.testing.assert_array_equal(got, want)
         assert_parity(got, module_logits(model, images))
+
+    def test_live_width_follows_the_weights(self, images):
+        """Dead input channels are compiled out at refresh, and a later
+        refresh that revives them widens the plan again."""
+        model = build_model("resnet20", rng=np.random.default_rng(3))
+        dense = model.state_dict()
+        build_method("ft").prune(model, 0.5)
+        pruned = model.state_dict()
+        engine = InferenceEngine(model)
+
+        def step():
+            assert_parity(engine.logits(images), module_logits(model, images))
+            (nbytes,) = engine.plan_stats().values()
+            return nbytes
+
+        narrow = step()
+        model.load_state_dict(dense)  # the parent, into the same model
+        wide = step()
+        model.load_state_dict(pruned)  # reapply the masks
+        assert narrow < wide
+        assert step() == narrow
+
+    def test_concatenations_keep_every_channel(self, images):
+        model = build_model("densenet22", rng=np.random.default_rng(3))
+        build_method("ft").prune(model, 0.5)
+        engine = InferenceEngine(model)
+        assert_parity(engine.logits(images), module_logits(model, images))
+        assert engine.compiled_for(images)
 
 
 class TestFallback:

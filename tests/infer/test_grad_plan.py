@@ -1,5 +1,7 @@
 """Compiled gradient plans: tape parity, fused-kernel gradients, registry smoke."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,17 @@ def test_registry_compiled_step_smoke(name, monkeypatch):
         for k, v in model.state_dict().items()
     )
     assert changed, "compiled step left the model untouched"
+
+
+def test_tape_reference_leaves_no_reference_cycles(batch):
+    """The compile-time tape step frees its graph: its activations die with
+    the call instead of waiting for the cyclic garbage collector."""
+    model = make_tiny_cnn()
+    engine = TrainEngine(model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.1))
+    gc.collect()
+    gc.disable()
+    try:
+        engine._tape_reference(*batch)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,10 +1,12 @@
-"""Compiled plans: BN folding numerics, the exact reference mode, bn_affine."""
+"""Compiled plans: BN folding numerics, the exact reference mode, bn_affine,
+and the fast conv kernel's routes."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.infer import CompiledPlan, trace
+from repro.infer.plan import _conv_per_offset, _k_conv2d, _k_conv2d_exact
 
 from tests.conftest import make_tiny_cnn
 from tests.infer.test_engine import assert_parity, module_logits
@@ -67,3 +69,102 @@ class TestExactMode:
         plan = CompiledPlan(trace(model, images), fold_bn=False, exact=True)
         plan.refresh(model)
         np.testing.assert_array_equal(plan.run(images), module_logits(model, images))
+
+
+def _conv_case(rng, n, c, f, size, k):
+    x = rng.standard_normal((n, c, size, size)).astype(np.float32)
+    w = rng.standard_normal((f, c, k, k)).astype(np.float32)
+    b = rng.standard_normal(f).astype(np.float32)
+    return x, w, b
+
+
+class TestConvKernel:
+    """``_k_conv2d``'s two routes against the module-exact reference."""
+
+    SHAPES = [
+        (stride, k, size, c, f)
+        for stride in (1, 2)
+        for k in (1, 3)
+        for size in (2, 4, 8, 16)
+        for c, f in ((4, 8), (8, 4))
+    ]
+
+    def test_shape_grid_takes_both_routes(self):
+        routes = set()
+        for stride, k, size, c, f in self.SHAPES:
+            pad = size + 2 * (k // 2)
+            out = (pad - k) // stride + 1
+            cols_bytes = c * k * k * 4 * out * out * 4
+            routes.add(_conv_per_offset(c, f, pad * pad, out * out, stride, k * k, cols_bytes))
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("stride,k,size,c,f", SHAPES)
+    def test_matches_exact_kernel(self, rng, stride, k, size, c, f):
+        x, w, b = _conv_case(rng, 4, c, f, size, k)
+        params = {"stride": stride, "padding": k // 2}
+        want = _k_conv2d_exact([x, w, b], dict(params))
+        got = _k_conv2d([x, w, b], params)
+        assert got.shape == want.shape
+        assert_parity(got, want)
+        # The persistent scratch is reused on the next call.
+        assert_parity(_k_conv2d([x, w, b], params), want)
+
+    @pytest.mark.parametrize("size", [2, 16])
+    def test_no_live_input_channel_gives_the_bias(self, rng, size):
+        x, w, b = _conv_case(rng, 4, 6, 5, size, 3)
+        params = {"stride": 1, "padding": 1, "gather": np.array([], dtype=np.intp)}
+        got = _k_conv2d([x, w[:, :0], b], params)
+        np.testing.assert_array_equal(got, np.broadcast_to(b[None, :, None, None], got.shape))
+
+    def test_gather_reads_only_the_live_channels(self, rng):
+        x, w, b = _conv_case(rng, 4, 6, 5, 8, 3)
+        live = np.array([0, 2, 5])
+        dense = np.zeros_like(w)
+        dense[:, live] = w[:, live]
+        want = _k_conv2d_exact([x, dense, b], {"stride": 1, "padding": 1})
+        got = _k_conv2d([x, w[:, live], b], {"stride": 1, "padding": 1, "gather": live})
+        assert_parity(got, want)
+
+    @pytest.mark.parametrize("size", [4, 16])
+    def test_scratch_follows_a_narrower_weight(self, rng, size):
+        # One params dict, as a plan step keeps across refreshes: later
+        # calls have fewer output channels, then fewer input channels.
+        params = {"stride": 1, "padding": 1}
+        for c, f in ((8, 4), (8, 2), (6, 2)):
+            x, w, b = _conv_case(rng, 4, c, f, size, 3)
+            want = _k_conv2d_exact([x, w, b], {"stride": 1, "padding": 1})
+            assert_parity(_k_conv2d([x, w, b], params), want)
+
+
+class TiedConvs(nn.Module):
+    """One unmasked weight read by two convs in a chain: its constant slot
+    has two users, so each narrowed copy must get a slot of its own."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = nn.Conv2d(6, 6, 3, padding=1, rng=rng)
+        self.pool = nn.GlobalAvgPool2d()
+        self.fc = nn.Linear(6, 3, rng=rng)
+
+    def forward(self, x):
+        x = self.conv(x).relu()
+        x = self.conv(x).relu()
+        return self.fc(self.pool(x))
+
+
+class TestLiveWidth:
+    def test_shared_weight_slot_narrows_per_user(self, rng):
+        model = TiedConvs(rng)
+        images = rng.standard_normal((4, 6, 8, 8)).astype(np.float32)
+        plan = CompiledPlan(trace(model, images))
+        plan.refresh(model)
+        full = plan.nbytes
+        model.conv.weight.data[:, [1, 4]] = 0.0
+        plan.refresh(model)
+        assert_parity(plan.run(images), module_logits(model, images))
+        # The sliced copies sit in spare slots beside the full weight.
+        assert plan.nbytes > full
+        model.conv.weight.data[:] = rng.standard_normal(model.conv.weight.shape)
+        plan.refresh(model)
+        assert plan.nbytes == full
+        assert_parity(plan.run(images), module_logits(model, images))

@@ -111,12 +111,12 @@ class TestPlanParityOracle:
     )
     def test_registry_sweep(self, oracle):
         # Bitwise (exact-mode) parity on every registry architecture,
-        # pruned and unpruned: the gate for any change to the plan
-        # scheduler or kernels.
+        # unpruned, pruned and channel-pruned: the gate for any change to
+        # the plan scheduler, the kernels or the live-width pass.
         report = oracle()
         assert report.passed, report.summary()
-        # Two checks per (architecture, pruned/unpruned) entry.
-        assert len(report.results) == 2 * 2 * len(available_models())
+        # Two checks per (architecture, probe state) entry.
+        assert len(report.results) == 2 * 3 * len(available_models())
 
 
 @pytest.mark.tier2
