@@ -7,7 +7,7 @@ where curves collapse) — absolute numbers differ because the substrate is
 a scaled synthetic task on CPU, not the authors' GPU testbed.
 
 Trained artifacts come from the disk-cached model zoo (see
-``build_zoo.py``); analysis results are memoized in-process, so benchmarks
+``python -m repro zoo``); analysis results are memoized in-process, so benchmarks
 that share curves (potential / excess error / tables) pay for evaluation
 once per pytest session.
 """

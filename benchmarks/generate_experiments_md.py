@@ -1,7 +1,7 @@
 """Generate EXPERIMENTS.md: paper-vs-measured for every table and figure.
 
 Runs the full experiment harness at the SMOKE scale (reusing the cached
-model zoo; run ``build_zoo.py`` first) and writes a markdown report pairing
+model zoo; run ``python -m repro zoo`` first) and writes a markdown report pairing
 each paper artifact with the reproduced numbers and a shape verdict.
 
     python benchmarks/generate_experiments_md.py [output_path]

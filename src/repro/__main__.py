@@ -2,19 +2,23 @@
 
 Commands
 --------
-``zoo``        pre-train the cached model zoo used by the benchmarks
-``worker``     drain tasks from a durable work-queue directory
-``methods``    list the registered pruning methods and their hyperparameters
-``curve``      run one prune-retrain pipeline and print its curve
-``potential``  prune potential per distribution for one (model, method)
-``tables``     print the PR/FR and overparameterization tables
+``zoo``          pre-train the cached model zoo used by the benchmarks
+``worker``       drain tasks from a durable work-queue directory
+``methods``      list the registered pruning methods and their hyperparameters
+``curve``        run one prune-retrain pipeline and print its curve
+``potential``    prune potential per distribution for one (model, method)
+``tables``       print the PR/FR and overparameterization tables
+``verify``       audit cached artifacts (mask/weight consistency, accounting)
+``trace``        render a run ledger (span tree + metric rollups)
+``serve-bench``  load-test the serving layer and write ``BENCH_serve.json``
+
+``zoo``, ``curve``, ``potential`` and ``tables`` run grids and share one
+flag set: ``--jobs``, ``--on-error``, ``--max-retries``,
+``--cell-timeout``, ``--executor`` and ``--queue-dir``.
 
 ``--method`` accepts any registry spec string — a method name with
 optional keyword hyperparameters, e.g. ``wt``, ``lowrank(rank_frac=0.25)``
 or ``random(seed=3)``; run ``python -m repro methods`` for the catalog.
-``verify``     audit cached artifacts (mask/weight consistency, accounting)
-``trace``      render a run ledger (span tree + metric rollups)
-``serve-bench``  load-test the serving layer and write ``BENCH_serve.json``
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "see `python -m repro methods`",
     )
     parser.add_argument("--repetitions", type=int, default=None)
+    _add_grid_flags(parser)
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every grid-running command."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -63,9 +72,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--on-error",
         choices=["raise", "collect"],
-        default="raise",
-        help="collect: degrade gracefully on dead cells (NaN holes + "
-        "failure manifest) instead of aborting",
+        default=None,
+        help="collect: finish the surviving cells and persist a failure "
+        "manifest (NaN holes in results) instead of aborting on the first "
+        "dead cell (default: raise; collect for `zoo --resume`)",
     )
     parser.add_argument(
         "--max-retries",
@@ -78,12 +88,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--cell-timeout",
         type=float,
         default=None,
-        help="per-cell deadline in seconds (default: REPRO_CELL_TIMEOUT)",
+        help="per-cell deadline in seconds; a hung pool worker is replaced. "
+        "Serial runs and the queue executor have no deadline "
+        "(default: REPRO_CELL_TIMEOUT or none)",
     )
-    _add_executor_flags(parser)
-
-
-def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         choices=["pool", "queue"],
@@ -102,10 +110,10 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resilience_kwargs(args) -> dict:
+def _grid_kwargs(args, on_error: str = "raise") -> dict:
     return {
         "jobs": args.jobs,
-        "on_error": args.on_error,
+        "on_error": args.on_error or on_error,
         "max_retries": args.max_retries,
         "cell_timeout": args.cell_timeout,
         "executor": args.executor,
@@ -132,31 +140,35 @@ def _scale(args):
 
 
 def cmd_zoo(args) -> int:
-    from benchmarks.build_zoo import main as build_zoo_main  # type: ignore
-
     from repro import observe
+    from repro.experiments import SMOKE
+    from repro.experiments.zoo import bench_zoo_specs, build_zoo
+    from repro.resilience import resume_zoo
 
-    argv = []
-    if getattr(args, "jobs", None) is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if getattr(args, "on_error", None) is not None:
-        argv += ["--on-error", args.on_error]
-    if getattr(args, "max_retries", None) is not None:
-        argv += ["--max-retries", str(args.max_retries)]
-    if getattr(args, "cell_timeout", None) is not None:
-        argv += ["--cell-timeout", str(args.cell_timeout)]
-    if getattr(args, "executor", None) is not None:
-        argv += ["--executor", args.executor]
-    if getattr(args, "queue_dir", None) is not None:
-        argv += ["--queue-dir", args.queue_dir]
-    for manifest in getattr(args, "resume", None) or []:
-        argv += ["--resume", manifest]
-    rc = build_zoo_main(argv)
+    if args.resume:
+        try:
+            timing = resume_zoo(args.resume, SMOKE, **_grid_kwargs(args, "collect"))
+        except FileNotFoundError:
+            missing = ", ".join(args.resume)
+            print(f"error: no failure manifest at {missing}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        timing = build_zoo(bench_zoo_specs(), SMOKE, **_grid_kwargs(args))
+    for cell in timing.cells:
+        status = "cached" if cell.cached else "built"
+        print(f"{cell.key}: {status} in {cell.seconds:.1f}s", flush=True)
+    print(timing.summary())
+    _report_degraded(timing)
+    if timing.failures:
+        print(f"resume with: python -m repro zoo --resume {timing.manifest_path}")
     ledger = observe.current_ledger_path()
     if ledger is not None:
         print(f"run ledger: {ledger}")
         print(f"render it with: python -m repro trace {ledger}")
-    return rc
+    return 1 if timing.failures else 0
 
 
 def cmd_worker(args) -> int:
@@ -188,7 +200,7 @@ def cmd_curve(args) -> int:
 
     scale = _scale(args)
     res = prune_curve_experiment(
-        args.task, args.model, args.method, scale, **_resilience_kwargs(args)
+        args.task, args.model, args.method, scale, **_grid_kwargs(args)
     )
     _report_degraded(res.timing)
     print(f"{args.model} / {args.method.upper()} on synth-{args.task}")
@@ -208,7 +220,7 @@ def cmd_potential(args) -> int:
 
     scale = _scale(args)
     res = corruption_potential_experiment(
-        args.task, args.model, args.method, scale, **_resilience_kwargs(args)
+        args.task, args.model, args.method, scale, **_grid_kwargs(args)
     )
     _report_degraded(res.timing)
     rows = [
@@ -229,7 +241,7 @@ def cmd_tables(args) -> int:
     from repro.experiments import overparam_table, pr_fr_table
 
     scale = _scale(args)
-    knobs = _resilience_kwargs(args)
+    knobs = _grid_kwargs(args)
     methods = args.methods  # None → every registered method
     _, text = pr_fr_table(args.task, [args.model], methods, scale, **knobs)
     print(text)
@@ -350,24 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     zoo_parser = sub.add_parser("zoo", help="pre-train the cached model zoo")
-    zoo_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (0 = all CPUs; default: REPRO_NUM_WORKERS or 1)",
-    )
-    zoo_parser.add_argument(
-        "--on-error",
-        choices=["raise", "collect"],
-        default=None,
-        help="collect: finish surviving cells, persist a failure manifest",
-    )
-    zoo_parser.add_argument(
-        "--max-retries", type=int, default=None, help="per-cell retry budget"
-    )
-    zoo_parser.add_argument(
-        "--cell-timeout", type=float, default=None, help="per-cell deadline (s)"
-    )
+    _add_grid_flags(zoo_parser)
     zoo_parser.add_argument(
         "--resume",
         action="append",
@@ -376,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         help="recompute only the failed cells of a previous degraded run; "
         "repeatable — several manifests are merged and deduplicated",
     )
-    _add_executor_flags(zoo_parser)
+    zoo_parser.set_defaults(fn=cmd_zoo)
 
     worker_parser = sub.add_parser(
         "worker",
@@ -489,7 +484,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="emit the report as JSON"
     )
     trace_parser.set_defaults(fn=cmd_trace)
-    parser.set_defaults(fn=cmd_zoo)
 
     args = parser.parse_args(argv)
     np.set_printoptions(precision=3, suppress=True)

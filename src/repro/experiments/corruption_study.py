@@ -2,7 +2,7 @@
 Appendix D.2/D.3) and the difference in excess error (Fig. 6c/6f, D.5).
 
 The (repetition × distribution) evaluation grid is embarrassingly
-parallel, so the cells are dispatched through :mod:`repro.parallel`;
+parallel, so it runs through :func:`~repro.experiments.grid.run_grid`;
 ``jobs`` (or ``REPRO_NUM_WORKERS``) controls the fan-out and ``jobs=1``
 reproduces the serial path bit for bit.
 """
@@ -22,24 +22,17 @@ from repro.analysis.regression import bootstrap_slope_ci, ols_slope_through_orig
 from repro.data.corruptions import available_corruptions
 from repro.data.datasets import Dataset, TaskSuite
 from repro.experiments.config import ExperimentScale
-from repro.experiments.grid import (
-    dependency_failure,
-    dispatch_cells,
-    failed_repetitions,
-    persist_manifest,
-)
+from repro.experiments.grid import run_grid
 from repro.experiments.memo import memoize
-from repro.pruning import canonical_spec
 from repro.experiments.zoo import (
     ZooSpec,
-    build_zoo,
     cached_suite,
     get_prune_run,
-    grid_scope,
     make_suite,
     scoped_model,
 )
-from repro.parallel import CellTiming, GridTiming, resolve_jobs, stopwatch
+from repro.parallel import CellTiming, GridTiming
+from repro.pruning import canonical_spec
 
 # A distribution spec is a compact, picklable recipe for one evaluation
 # set: ("nominal",), ("shifted",), or ("corruption", name, severity).
@@ -114,70 +107,22 @@ def _evaluate_grid(
     scale: ExperimentScale,
     robust: bool,
     named_specs: list[tuple[str, DistributionSpec]],
-    jobs: int | None,
-    on_error: str = "raise",
-    max_retries: int | None = None,
-    cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
+    **knobs,
 ) -> tuple[dict[tuple[int, str], PruneAccuracyCurve], GridTiming]:
-    """Build required artifacts, then fan the evaluation cells out.
-
-    With ``on_error="collect"`` the grid degrades instead of aborting:
-    repetitions whose zoo artifact died are skipped as ``dependency``
-    failures (their eval cells would just retrain the dead artifact
-    inline), dead eval cells leave holes in the returned curve dict, and
-    one manifest covering the zoo and eval phases is persisted.  Both
-    phases run inside one :func:`grid_scope`, so the cells share each
-    artifact the zoo probe loaded and one model per repetition.
-    """
-    failures = []
-    with stopwatch() as elapsed, grid_scope():
-        zoo_specs = [
-            ZooSpec(task_name, model_name, method_name, rep, robust)
-            for rep in range(scale.n_repetitions)
-        ]
-        zoo_timing = build_zoo(
-            zoo_specs, scale, jobs=jobs,
-            on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+    """The (repetition × distribution) curves of one zoo spec, by
+    ``(rep, name)``; a cell that died under ``on_error="collect"`` has
+    no entry (see :func:`~repro.experiments.grid.run_grid`)."""
+    cells = [
+        (
+            ZooSpec(task_name, model_name, method_name, rep, robust),
+            f"rep{rep}/{name}",
+            (task_name, model_name, method_name, scale, robust, rep, name, dist_spec),
         )
-        failures += zoo_timing.failures
-        dead_reps = failed_repetitions(zoo_timing)
-        payloads, keys = [], []
-        for index, (rep, (name, dist_spec)) in enumerate(
-            (rep, named)
-            for rep in range(scale.n_repetitions)
-            for named in named_specs
-        ):
-            key = f"rep{rep}/{name}"
-            if rep in dead_reps:
-                failures.append(dependency_failure(key, index, f"zoo repetition {rep}"))
-                continue
-            payloads.append(
-                (task_name, model_name, method_name, scale, robust, rep, name, dist_spec)
-            )
-            keys.append(key)
-        results, eval_failures = dispatch_cells(
-            _curve_cell, payloads, keys, jobs=jobs,
-            on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
-        )
-        failures += eval_failures
-        wall = elapsed()
-    cells = [r for r in results if r is not None]
-    curves = {(rep, name): curve for rep, name, curve, _ in cells}
-    total = len(zoo_timing.cells) + len(zoo_timing.failures)
-    total += scale.n_repetitions * len(named_specs)
-    manifest_path = persist_manifest(label, failures, total, scale)
-    timing = GridTiming(
-        label=label,
-        jobs=resolve_jobs(jobs),
-        wall_seconds=wall,
-        cells=zoo_timing.cells + [t for *_, t in cells],
-        failures=failures,
-        manifest_path=manifest_path,
-    ).record()
+        for rep in range(scale.n_repetitions)
+        for name, dist_spec in named_specs
+    ]
+    results, timing = run_grid(label, _curve_cell, cells, scale, **knobs)
+    curves = {(rep, name): curve for rep, name, curve, _ in filter(None, results)}
     return curves, timing
 
 
@@ -236,8 +181,9 @@ def corruption_potential_experiment(
     names = [n for n, _ in named_specs]
     grid, timing = _evaluate_grid(
         f"corruption_potential[{task_name}/{model_name}/{method_name}]",
-        task_name, model_name, method_name, scale, robust, named_specs, jobs,
-        on_error, max_retries, cell_timeout, executor, queue_dir,
+        task_name, model_name, method_name, scale, robust, named_specs, jobs=jobs,
+        on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
+        executor=executor, queue_dir=queue_dir,
     )
     potentials = np.full((scale.n_repetitions, len(names)), np.nan)
     curves: dict[str, list[PruneAccuracyCurve]] = {n: [] for n in names}
@@ -302,8 +248,9 @@ def severity_sweep_experiment(
     ]
     grid, timing = _evaluate_grid(
         f"severity_sweep[{task_name}/{model_name}/{method_name}/{corruption}]",
-        task_name, model_name, method_name, scale, False, named_specs, jobs,
-        on_error, max_retries, cell_timeout, executor, queue_dir,
+        task_name, model_name, method_name, scale, False, named_specs, jobs=jobs,
+        on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
+        executor=executor, queue_dir=queue_dir,
     )
     potentials = np.full((scale.n_repetitions, len(severities)), np.nan)
     for rep in range(scale.n_repetitions):

@@ -1,125 +1,187 @@
-"""Shared graceful-degradation plumbing for experiment grids.
+"""One runner for every study grid.
 
-Every study grid (corruption, noise, prune curves, robust) follows the
-same resilient dispatch shape: build the zoo artifacts it needs, skip
-evaluation cells whose zoo dependency died (``dependency`` failures
-instead of retraining a doomed parent inline), fan the surviving cells
-out with ``on_error="collect"``, and persist one
-:class:`~repro.resilience.failures.FailureManifest` covering both
-phases.  This module holds the pieces those grids compose so the policy
-lives in one place.
+A study grid (corruption, severity, noise, prune curves; the robust study
+and the summary tables compose these) is a list of evaluation cells, each
+reading one zoo artifact.  :func:`run_grid` runs the sequence all of them
+share: open the grid scope, build the zoo artifacts the cells read, skip
+the cells whose artifact died as ``dependency`` failures (instead of
+retraining a doomed artifact inline), dispatch the rest, and persist one
+:class:`~repro.resilience.failures.FailureManifest` covering both phases
+next to the grid's :class:`~repro.parallel.GridTiming`.  ``build_zoo``'s
+two fan-outs (parents, then prune runs whose parent survived) go through
+the same :func:`dispatch` and :func:`record_grid` steps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro import observe
-from repro.parallel import GridTiming, parallel_map
+from repro.parallel import GridTiming, parallel_map, resolve_jobs, stopwatch
 from repro.resilience import CellFailure, FailureManifest
 from repro.resilience.failures import KIND_DEPENDENCY, default_manifest_path
 
 
-def dispatch_cells(
+def dispatch(
     fn: Callable,
-    payloads: Sequence,
     keys: Sequence[str],
+    payloads: Sequence,
+    upstreams: Sequence[str | None],
     *,
     jobs: int | None = None,
-    start_method: str | None = None,
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
     executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> tuple[list, list[CellFailure]]:
-    """Fan a grid's evaluation cells out; returns ``(results, failures)``.
+    """Fan out the cells whose upstream lives; returns ``(results, failures)``.
 
-    ``results`` is always aligned with ``payloads``: in collect mode a
-    dead cell leaves a ``None`` hole (and one :class:`CellFailure`), in
-    raise mode the first failure propagates so there are no holes.
-    ``executor="queue"`` routes the cells through the durable work queue
-    (:mod:`repro.queue`) instead of the in-process pool.
+    ``upstreams[i]`` names the dead cell that cell ``i`` needs (``"parent
+    cell <key>"``), or is ``None``; a cell with a dead upstream becomes a
+    ``dependency`` failure and never runs.  ``results`` is aligned with
+    ``keys``: in collect mode a skipped or dead cell leaves a ``None``
+    hole (and one :class:`CellFailure` indexed by its grid position), in
+    raise mode the first failure propagates.
     """
+    live = [i for i, upstream in enumerate(upstreams) if upstream is None]
+    failures = [
+        CellFailure(
+            key=keys[i],
+            index=i,
+            kind=KIND_DEPENDENCY,
+            error_type="DependencyFailed",
+            message=f"{upstream} failed",
+            attempts=0,
+        )
+        for i, upstream in enumerate(upstreams)
+        if upstream is not None
+    ]
     out = parallel_map(
         fn,
-        list(payloads),
+        [payloads[i] for i in live],
         jobs=jobs,
-        start_method=start_method,
         on_error=on_error,
         max_retries=max_retries,
         timeout=cell_timeout,
-        keys=list(keys),
+        keys=[keys[i] for i in live],
         executor=executor,
         queue_dir=queue_dir,
     )
     if on_error == "collect":
-        return list(out.results), list(out.failures)
-    return list(out), []
+        failures += [dataclasses.replace(f, index=live[f.index]) for f in out.failures]
+        out = out.results
+    results: list = [None] * len(keys)
+    for i, value in zip(live, out):
+        results[i] = value
+    return results, failures
 
 
-def dependency_failure(
-    key: str, index: int, upstream: str, payload: dict[str, Any] | None = None
-) -> CellFailure:
-    """A cell skipped because an upstream cell (e.g. its zoo artifact) died."""
-    return CellFailure(
-        key=key,
-        index=index,
-        kind=KIND_DEPENDENCY,
-        error_type="DependencyFailed",
-        message=f"upstream cell {upstream} failed",
-        attempts=0,
-        payload=payload,
-    )
-
-
-def failed_repetitions(zoo_timing: GridTiming) -> set[int]:
-    """Repetitions with at least one dead zoo artifact in a degraded build.
-
-    Evaluation cells of these repetitions would call ``get_prune_run``
-    inline and re-attempt the training that just failed; grids skip them
-    as ``dependency`` failures instead.
-    """
-    reps: set[int] = set()
-    for failure in zoo_timing.failures:
-        payload = failure.payload or {}
-        if payload.get("kind") == "zoo":
-            reps.add(int(payload.get("repetition", -1)))
-    return reps
-
-
-def persist_manifest(
+def record_grid(
     label: str,
-    failures: Sequence[CellFailure],
+    jobs: int | None,
+    wall_seconds: float,
+    cells: list,
+    failures: list[CellFailure],
     total_cells: int,
     scale,
     manifest_dir: str | Path | None = None,
-) -> str | None:
-    """Persist a degraded grid's manifest next to the artifacts.
+) -> GridTiming:
+    """Persist a degraded grid's manifest and record the grid's timing.
 
-    Returns the manifest path, or ``None`` for a clean grid.  The scale
-    digest is recorded so ``--resume`` refuses to replay the manifest
-    against a different cache namespace.
+    The manifest goes under ``manifest_dir`` (default: the cache dir),
+    with the scale digest so ``--resume`` refuses to replay it against a
+    different cache namespace; a clean grid writes none.
     """
-    if not failures:
-        return None
-    # Lazy import: repro.experiments.zoo imports this module.
-    from repro.experiments.zoo import cache_dir
+    manifest_path = None
+    if failures:
+        # Lazy import: repro.experiments.zoo imports this module.
+        from repro.experiments.zoo import cache_dir
 
-    manifest = FailureManifest(
+        manifest = FailureManifest(
+            label=label,
+            failures=list(failures),
+            total_cells=total_cells,
+            scale_digest=scale.digest(),
+        )
+        directory = Path(manifest_dir) if manifest_dir else cache_dir()
+        manifest_path = str(manifest.save(default_manifest_path(directory, label)))
+        observe.event(
+            "degraded",
+            label=label,
+            failed=len(failures),
+            total=total_cells,
+            manifest=manifest_path,
+        )
+    return GridTiming(
         label=label,
-        failures=list(failures),
-        total_cells=total_cells,
-        scale_digest=scale.digest(),
+        jobs=resolve_jobs(jobs),
+        wall_seconds=wall_seconds,
+        cells=cells,
+        failures=failures,
+        manifest_path=manifest_path,
+    ).record()
+
+
+def run_grid(
+    label: str,
+    fn: Callable,
+    cells: Sequence[tuple[Any, str, Any]],
+    scale,
+    *,
+    jobs: int | None = None,
+    on_error: str = "raise",
+    max_retries: int | None = None,
+    cell_timeout: float | None = None,
+    executor: str | None = None,
+    queue_dir: str | Path | None = None,
+) -> tuple[list, GridTiming]:
+    """Run one study grid; returns ``(results, timing)``.
+
+    ``cells`` are ``(spec, key, payload)`` triples: cell ``key`` reads
+    the zoo artifact ``spec`` and runs as ``fn(payload)``, which returns
+    a tuple whose last item is the cell's
+    :class:`~repro.parallel.CellTiming`.  The zoo probe and the cells
+    share one :func:`~repro.experiments.zoo.grid_scope`.  With
+    ``on_error="collect"`` the grid degrades instead of aborting: the
+    cells of a dead artifact are ``dependency`` failures, ``results``
+    (aligned with ``cells``) holds ``None`` for every skipped or dead
+    cell, and ``timing`` carries the failures of both phases and the
+    manifest path.
+    """
+    from repro.experiments.zoo import build_zoo, grid_scope
+
+    knobs = dict(
+        jobs=jobs,
+        on_error=on_error,
+        max_retries=max_retries,
+        cell_timeout=cell_timeout,
+        executor=executor,
+        queue_dir=queue_dir,
     )
-    directory = Path(manifest_dir) if manifest_dir else cache_dir()
-    path = manifest.save(default_manifest_path(directory, label))
-    observe.event(
-        "degraded",
-        label=label,
-        failed=len(failures),
-        total=total_cells,
-        manifest=str(path),
+    with stopwatch() as elapsed, grid_scope():
+        zoo = build_zoo(list(dict.fromkeys(spec for spec, _, _ in cells)), scale, **knobs)
+        dead = {f.key for f in zoo.failures}
+        results, failures = dispatch(
+            fn,
+            [key for _, key, _ in cells],
+            [payload for _, _, payload in cells],
+            [
+                f"zoo artifact {spec.key(scale)}" if spec.key(scale) in dead else None
+                for spec, _, _ in cells
+            ],
+            **knobs,
+        )
+        wall = elapsed()
+    timing = record_grid(
+        label,
+        jobs,
+        wall,
+        zoo.cells + [r[-1] for r in results if r is not None],
+        zoo.failures + failures,
+        len(zoo.cells) + len(zoo.failures) + len(cells),
+        scale,
     )
-    return str(path)
+    return results, timing

@@ -1,9 +1,10 @@
 """Noise experiments: prune potential vs noise level (Fig. 1/28) and
 functional similarity under noise (Fig. 4, Appendix C.2).
 
-The (repetition × noise level) potential grid dispatches through
-:mod:`repro.parallel`; every cell derives its own rng from (rep, level),
-so the parallel results are identical to the serial ones.
+The (repetition × noise level) potential grid runs through
+:func:`~repro.experiments.grid.run_grid`; every cell derives its own rng
+from (rep, level), so the parallel results are identical to the serial
+ones.
 """
 
 from __future__ import annotations
@@ -19,24 +20,17 @@ from repro.analysis.functional_distance import noise_similarity
 from repro.analysis.prune_potential import evaluate_curve
 from repro.data.noise import add_uniform_noise
 from repro.experiments.config import ExperimentScale
-from repro.experiments.grid import (
-    dependency_failure,
-    dispatch_cells,
-    failed_repetitions,
-    persist_manifest,
-)
+from repro.experiments.grid import run_grid
 from repro.experiments.zoo import (
     ZooSpec,
-    build_zoo,
     cached_suite,
     get_parent_state,
     get_prune_run,
-    grid_scope,
     make_model,
     make_suite,
     scoped_model,
 )
-from repro.parallel import CellTiming, GridTiming, resolve_jobs, stopwatch
+from repro.parallel import CellTiming, GridTiming
 from repro.utils.rng import as_rng
 
 
@@ -111,64 +105,33 @@ def noise_potential_experiment(
 
     Under ``on_error="collect"`` failed cells become NaN entries in
     ``potentials`` and the grid's failure manifest is persisted (see
-    :mod:`repro.resilience`).  The zoo probe and the cells share one
-    :func:`grid_scope`.
+    :mod:`repro.resilience`).
     """
-    label = f"noise_potential[{task_name}/{model_name}/{method_name}]"
-    failures = []
-    with stopwatch() as elapsed, grid_scope():
-        zoo_specs = [
-            ZooSpec(task_name, model_name, method_name, rep)
-            for rep in range(scale.n_repetitions)
-        ]
-        zoo_timing = build_zoo(
-            zoo_specs, scale, jobs=jobs,
-            on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+    cells = [
+        (
+            ZooSpec(task_name, model_name, method_name, rep),
+            f"rep{rep}/noise{eps:.2f}",
+            (task_name, model_name, method_name, scale, rep, li),
         )
-        failures += zoo_timing.failures
-        dead_reps = failed_repetitions(zoo_timing)
-        payloads, keys = [], []
-        index = 0
-        for rep in range(scale.n_repetitions):
-            for li in range(len(scale.noise_levels)):
-                key = f"rep{rep}/noise{scale.noise_levels[li]:.2f}"
-                if rep in dead_reps:
-                    failures.append(
-                        dependency_failure(key, index, f"zoo repetition {rep}")
-                    )
-                else:
-                    payloads.append((task_name, model_name, method_name, scale, rep, li))
-                    keys.append(key)
-                index += 1
-        results, eval_failures = dispatch_cells(
-            _noise_cell, payloads, keys, jobs=jobs,
-            on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
-        )
-        failures += eval_failures
-        wall = elapsed()
-    cells = [r for r in results if r is not None]
+        for rep in range(scale.n_repetitions)
+        for li, eps in enumerate(scale.noise_levels)
+    ]
+    results, timing = run_grid(
+        f"noise_potential[{task_name}/{model_name}/{method_name}]",
+        _noise_cell, cells, scale, jobs=jobs,
+        on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
+        executor=executor, queue_dir=queue_dir,
+    )
     potentials = np.full((scale.n_repetitions, len(scale.noise_levels)), np.nan)
-    for rep, li, potential, _ in cells:
+    for rep, li, potential, _ in filter(None, results):
         potentials[rep, li] = potential
-    total = len(zoo_timing.cells) + len(zoo_timing.failures)
-    total += scale.n_repetitions * len(scale.noise_levels)
-    manifest_path = persist_manifest(label, failures, total, scale)
     return NoisePotentialResult(
         task_name=task_name,
         model_name=model_name,
         method_name=method_name,
         noise_levels=np.asarray(scale.noise_levels),
         potentials=potentials,
-        timing=GridTiming(
-            label=label,
-            jobs=resolve_jobs(jobs),
-            wall_seconds=wall,
-            cells=zoo_timing.cells + [t for *_, t in cells],
-            failures=failures,
-            manifest_path=manifest_path,
-        ).record(),
+        timing=timing,
     )
 
 

@@ -1,7 +1,8 @@
 """Prune-accuracy curves and PR/FR summaries (Fig. 2/9/10/11, Tables 4/6/8).
 
 Repetitions are independent, so the per-repetition cells (curve + FLOP
-accounting) dispatch through :mod:`repro.parallel` under a ``jobs`` knob.
+accounting) run through :func:`~repro.experiments.grid.run_grid` under a
+``jobs`` knob.
 """
 
 from __future__ import annotations
@@ -15,24 +16,12 @@ import numpy as np
 from repro import observe
 from repro.analysis.prune_potential import prune_potential_from_curve
 from repro.experiments.config import ExperimentScale
-from repro.experiments.grid import (
-    dependency_failure,
-    dispatch_cells,
-    failed_repetitions,
-    persist_manifest,
-)
+from repro.experiments.grid import run_grid
 from repro.experiments.memo import memoize
-from repro.experiments.zoo import (
-    ZooSpec,
-    build_zoo,
-    cached_suite,
-    get_prune_run,
-    make_model,
-    make_suite,
-)
+from repro.experiments.zoo import ZooSpec, cached_suite, get_prune_run, make_model
 from repro.nn.flops import count_flops
 from repro.nn.module import preserve_state
-from repro.parallel import CellTiming, GridTiming, resolve_jobs, stopwatch
+from repro.parallel import CellTiming, GridTiming
 from repro.pruning import canonical_spec
 from repro.pruning.pipeline import PruneRun
 from repro.verify import runtime as verify_runtime
@@ -119,46 +108,26 @@ def prune_curve_experiment(
     assembled and the experiment raises.
     """
     label = f"prune_curve[{task_name}/{model_name}/{method_name}]"
-    failures = []
-    with stopwatch() as elapsed:
-        zoo_specs = [
-            ZooSpec(task_name, model_name, method_name, rep, robust)
-            for rep in range(scale.n_repetitions)
-        ]
-        zoo_timing = build_zoo(
-            zoo_specs, scale, jobs=jobs,
-            on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+    cells = [
+        (
+            ZooSpec(task_name, model_name, method_name, rep, robust),
+            f"rep{rep}",
+            (task_name, model_name, method_name, scale, robust, rep),
         )
-        failures += zoo_timing.failures
-        dead_reps = failed_repetitions(zoo_timing)
-        payloads, keys = [], []
-        for rep in range(scale.n_repetitions):
-            if rep in dead_reps:
-                failures.append(
-                    dependency_failure(f"rep{rep}", rep, f"zoo repetition {rep}")
-                )
-                continue
-            payloads.append((task_name, model_name, method_name, scale, robust, rep))
-            keys.append(f"rep{rep}")
-        results, eval_failures = dispatch_cells(
-            _rep_cell, payloads, keys, jobs=jobs,
-            on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
-        )
-        failures += eval_failures
-        wall = elapsed()
-    rep_cells = {
-        payload[-1]: cell
-        for payload, cell in zip(payloads, results)
-        if cell is not None
-    }
+        for rep in range(scale.n_repetitions)
+    ]
+    results, timing = run_grid(
+        label, _rep_cell, cells, scale, jobs=jobs,
+        on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
+        executor=executor, queue_dir=queue_dir,
+    )
+    rep_cells = {rep: cell for rep, cell in enumerate(results) if cell is not None}
     if not rep_cells:
         raise RuntimeError(
             f"{label}: every repetition failed; see the failure manifest"
         )
     n_ckpt = len(next(iter(rep_cells.values()))[0])
-    ratios = np.mean([rep_cells[r][0] for r in sorted(rep_cells)], axis=0)
+    ratios = np.mean([cell[0] for cell in rep_cells.values()], axis=0)
     errors = np.full((scale.n_repetitions, n_ckpt), np.nan)
     parents = np.full(scale.n_repetitions, np.nan)
     frs = np.full((scale.n_repetitions, n_ckpt), np.nan)
@@ -166,8 +135,6 @@ def prune_curve_experiment(
         errors[rep] = cell[1]
         parents[rep] = cell[2]
         frs[rep] = cell[3]
-    total = len(zoo_timing.cells) + len(zoo_timing.failures) + scale.n_repetitions
-    manifest_path = persist_manifest(label, failures, total, scale)
     result = PruneCurveResult(
         task_name=task_name,
         model_name=model_name,
@@ -176,16 +143,9 @@ def prune_curve_experiment(
         errors=errors,
         parent_errors=parents,
         flop_reductions=frs,
-        timing=GridTiming(
-            label=label,
-            jobs=resolve_jobs(jobs),
-            wall_seconds=wall,
-            cells=zoo_timing.cells + [c[4] for c in rep_cells.values()],
-            failures=failures,
-            manifest_path=manifest_path,
-        ).record(),
+        timing=timing,
     )
-    if not failures:
+    if not timing.failures:
         # The runtime oracles assume a complete grid; NaN rows from a
         # degraded run would trip them spuriously.
         verify_runtime.verify_curve_result(result)

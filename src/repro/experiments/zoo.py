@@ -17,9 +17,10 @@ corrupt archive is treated as a cache miss (unlinked and recomputed, with a
 :func:`build_zoo` fans a spec list out across worker processes, parents
 first so prune runs never race their own dependency.
 
-An evaluation grid opens a :func:`grid_scope` around its zoo probe and its
-cell dispatch, so its cells share each loaded artifact (read-only) and one
-eval model per spec instead of reloading and recompiling per cell.
+:func:`~repro.experiments.grid.run_grid` opens a :func:`grid_scope` around
+a study grid's zoo probe and its cell dispatch, so its cells share each
+loaded artifact (read-only) and one eval model per spec instead of
+reloading and recompiling per cell.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 from repro import observe
 from repro.data.datasets import TaskSuite, cifar_like, imagenet_like, voc_like
 from repro.experiments.config import ExperimentScale
+from repro.experiments.grid import dispatch, record_grid
 from repro.models import build_model
 from repro.nn.module import Module
 from repro.optim import MultiStepLR
@@ -45,7 +47,6 @@ from repro.parallel import (
     CellTiming,
     GridTiming,
     artifact_lock,
-    parallel_map,
     resolve_jobs,
     stopwatch,
 )
@@ -330,9 +331,7 @@ def get_parent_state(spec: ZooSpec, scale: ExperimentScale) -> dict[str, np.ndar
     finished training while we waited), so racing builders produce exactly
     one training run.
     """
-    parent_spec = ZooSpec(
-        spec.task_name, spec.model_name, None, spec.repetition, spec.robust
-    )
+    parent_spec = _parent_of(spec)
     path = artifact_path(parent_spec, scale)
     state = _load_cached_state(path)
     if state is not None:
@@ -413,15 +412,13 @@ def _build_cell(payload: tuple[ZooSpec, ExperimentScale]) -> CellTiming:
     )
 
 
+def _parent_of(spec: ZooSpec) -> ZooSpec:
+    return ZooSpec(spec.task_name, spec.model_name, None, spec.repetition, spec.robust)
+
+
 def parent_specs(specs: Iterable[ZooSpec]) -> list[ZooSpec]:
     """Unique parent specs underlying ``specs`` (order-preserving)."""
-    out: dict[ZooSpec, None] = {}
-    for spec in specs:
-        parent = ZooSpec(
-            spec.task_name, spec.model_name, None, spec.repetition, spec.robust
-        )
-        out.setdefault(parent, None)
-    return list(out)
+    return list(dict.fromkeys(_parent_of(spec) for spec in specs))
 
 
 def _zoo_payload(spec: ZooSpec) -> dict:
@@ -436,15 +433,36 @@ def _zoo_payload(spec: ZooSpec) -> dict:
     }
 
 
-def _parent_of(spec: ZooSpec) -> ZooSpec:
-    return ZooSpec(spec.task_name, spec.model_name, None, spec.repetition, spec.robust)
+def _build_phase(
+    phase: str,
+    specs: list[ZooSpec],
+    upstreams: list[str | None],
+    scale: ExperimentScale,
+    queue_dir: str | Path | None,
+    **knobs,
+) -> tuple[list[CellTiming], list]:
+    """One fan-out of :func:`build_zoo`: built cells, and failures that
+    carry the payload ``--resume`` rebuilds their spec from.  Each phase
+    has its own queue namespace, ``queue_dir/<phase>``."""
+    results, failures = dispatch(
+        _build_cell,
+        [s.key(scale) for s in specs],
+        [(s, scale) for s in specs],
+        upstreams,
+        queue_dir=None if queue_dir is None else Path(queue_dir) / phase,
+        **knobs,
+    )
+    by_key = {s.key(scale): s for s in specs}
+    return (
+        [cell for cell in results if cell is not None],
+        [f.with_payload(_zoo_payload(by_key[f.key])) for f in failures],
+    )
 
 
 def build_zoo(
     specs: Sequence[ZooSpec],
     scale: ExperimentScale,
     jobs: int | None = None,
-    start_method: str | None = None,
     *,
     on_error: str = "raise",
     max_retries: int | None = None,
@@ -481,95 +499,81 @@ def build_zoo(
     runs use distinct queue namespaces (``queue_dir/parents`` and
     ``queue_dir/prune``) so the two phases' journals never mix.
     """
-    from repro.experiments.grid import persist_manifest
-    from repro.resilience import CellFailure
-    from repro.resilience.failures import KIND_DEPENDENCY
-
     specs = list(specs)
-    collect = on_error == "collect"
-    failures: list[CellFailure] = []
-    parents_queue_dir = prune_queue_dir = None
-    if queue_dir is not None:
-        parents_queue_dir = Path(queue_dir) / "parents"
-        prune_queue_dir = Path(queue_dir) / "prune"
+    parents = parent_specs(specs)
+    prune = [s for s in specs if s.method_name is not None]
+    knobs = dict(
+        jobs=jobs,
+        on_error=on_error,
+        max_retries=max_retries,
+        cell_timeout=cell_timeout,
+        executor=executor,
+    )
     with observe.span(
         "build_zoo", specs=len(specs), jobs=resolve_jobs(jobs), on_error=on_error
     ) as span:
         with stopwatch() as elapsed:
-            parents = parent_specs(specs)
-            parent_by_key = {s.key(scale): s for s in parents}
-            outcome = parallel_map(
-                _build_cell,
-                [(s, scale) for s in parents],
-                jobs=jobs,
-                start_method=start_method,
-                on_error=on_error,
-                max_retries=max_retries,
-                timeout=cell_timeout,
-                keys=[s.key(scale) for s in parents],
-                executor=executor,
-                queue_dir=parents_queue_dir,
+            cells, failures = _build_phase(
+                "parents", parents, [None] * len(parents), scale, queue_dir, **knobs
             )
-            if collect:
-                cells = [c for c in outcome.results if c is not None]
-                failures += [
-                    f.with_payload(_zoo_payload(parent_by_key[f.key]))
-                    for f in outcome.failures
-                ]
-            else:
-                cells = list(outcome)
             # Prune runs whose parent failed would retrain it inline under
             # the artifact lock (and likely die the same way); skip them as
             # dependency failures instead.
-            dead_parents = {parent_by_key[f.key] for f in failures}
-            prune = [s for s in specs if s.method_name is not None]
-            runnable = [s for s in prune if _parent_of(s) not in dead_parents]
-            for index, spec in enumerate(prune):
-                if _parent_of(spec) in dead_parents:
-                    parent_key = _parent_of(spec).key(scale)
-                    failures.append(
-                        CellFailure(
-                            key=spec.key(scale),
-                            index=index,
-                            kind=KIND_DEPENDENCY,
-                            error_type="DependencyFailed",
-                            message=f"parent cell {parent_key} failed",
-                            attempts=0,
-                            payload=_zoo_payload(spec),
-                        )
-                    )
-            prune_by_key = {s.key(scale): s for s in runnable}
-            outcome = parallel_map(
-                _build_cell,
-                [(s, scale) for s in runnable],
-                jobs=jobs,
-                start_method=start_method,
-                on_error=on_error,
-                max_retries=max_retries,
-                timeout=cell_timeout,
-                keys=[s.key(scale) for s in runnable],
-                executor=executor,
-                queue_dir=prune_queue_dir,
+            dead = {f.key for f in failures}
+            parent_keys = [_parent_of(s).key(scale) for s in prune]
+            prune_cells, prune_failures = _build_phase(
+                "prune",
+                prune,
+                [f"parent cell {key}" if key in dead else None for key in parent_keys],
+                scale,
+                queue_dir,
+                **knobs,
             )
-            if collect:
-                cells += [c for c in outcome.results if c is not None]
-                failures += [
-                    f.with_payload(_zoo_payload(prune_by_key[f.key]))
-                    for f in outcome.failures
-                ]
-            else:
-                cells += list(outcome)
             wall = elapsed()
-        manifest_path = persist_manifest(
-            "build_zoo", failures, len(parents) + len(prune), scale, manifest_dir
+        timing = record_grid(
+            "build_zoo",
+            jobs,
+            wall,
+            cells + prune_cells,
+            failures + prune_failures,
+            len(parents) + len(prune),
+            scale,
+            manifest_dir,
         )
-        if manifest_path is not None:
-            span.set(failed=len(failures), manifest=manifest_path)
-    return GridTiming(
-        label="build_zoo",
-        jobs=resolve_jobs(jobs),
-        wall_seconds=wall,
-        cells=cells,
-        failures=failures,
-        manifest_path=manifest_path,
-    ).record()
+        if timing.manifest_path is not None:
+            span.set(failed=len(timing.failures), manifest=timing.manifest_path)
+    return timing
+
+
+#: Every zoo artifact the benchmarks touch, cheapest first, as
+#: (task, model, method, repetitions, robust); ``python -m repro zoo``
+#: builds it up front so the benchmarks spend their time on analyses.
+BENCH_ZOO: list[tuple[str, str, str, int, bool]] = [
+    ("cifar", "resnet20", "wt", 2, False),
+    ("cifar", "resnet20", "sipp", 2, False),
+    ("cifar", "resnet20", "ft", 2, False),
+    ("cifar", "resnet20", "pfp", 2, False),
+    ("cifar", "resnet20", "lowrank", 2, False),
+    ("cifar", "resnet20", "uniform", 2, False),
+    ("cifar", "resnet20", "random", 2, False),
+    ("cifar", "resnet20", "wt", 2, True),
+    ("cifar", "resnet20", "ft", 2, True),
+    ("cifar", "vgg16", "wt", 2, False),
+    ("cifar", "vgg16", "ft", 2, False),
+    ("cifar", "wrn16_8", "wt", 2, False),
+    ("cifar", "wrn16_8", "ft", 2, False),
+    ("imagenet", "resnet18", "wt", 1, False),
+    ("imagenet", "resnet18", "ft", 1, False),
+    ("voc", "deeplab_small", "wt", 1, False),
+    ("voc", "deeplab_small", "ft", 1, False),
+    ("voc", "deeplab_small", "pfp", 1, False),
+]
+
+
+def bench_zoo_specs() -> list[ZooSpec]:
+    """The flat spec list behind ``BENCH_ZOO``."""
+    return [
+        ZooSpec(task, model, method, rep, robust)
+        for task, model, method, reps, robust in BENCH_ZOO
+        for rep in range(reps)
+    ]

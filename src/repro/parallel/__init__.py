@@ -33,7 +33,6 @@ from repro.parallel.pool import (
     START_METHOD_ENV,
     MapOutcome,
     WorkerError,
-    WorkerPool,
     default_chunksize,
     parallel_map,
     resolve_executor,
@@ -55,7 +54,6 @@ __all__ = [
     "START_METHOD_ENV",
     "MapOutcome",
     "WorkerError",
-    "WorkerPool",
     "default_chunksize",
     "parallel_map",
     "resolve_executor",

@@ -5,8 +5,8 @@ Zoo building and experiment grids are (task, model, method, repetition) ×
 thin, predictable layer over ``multiprocessing`` — but one that survives
 the faults a multi-hour sweep actually hits:
 
-- :func:`parallel_map` — ordered or unordered map with chunking and clean
-  error propagation (remote tracebacks travel back verbatim);
+- :func:`parallel_map` — a positional map with chunking and clean error
+  propagation (remote tracebacks travel back verbatim);
 - **retry with exponential backoff**: transient failures (see
   :mod:`repro.resilience.retry`) are re-dispatched per cell up to
   ``max_retries`` times with deterministically jittered backoff;
@@ -104,9 +104,8 @@ class WorkerError(RuntimeError):
 class MapOutcome:
     """The result of a degraded (``on_error="collect"``) parallel map.
 
-    ``results`` is positional when the map was ordered — failed cells
-    hold ``None`` and are enumerated (with their indices) in
-    ``failures`` — and completion-ordered successes only when unordered.
+    ``results`` is positional: failed cells hold ``None`` and are
+    enumerated (with their indices) in ``failures``.
     """
 
     results: list
@@ -261,7 +260,7 @@ def _worker_error(failure: CellFailure) -> WorkerError:
     )
 
 
-def _serial_map(fn, items, keys, policy, on_error, ordered):
+def _serial_map(fn, items, keys, policy, on_error):
     """The ``jobs=1`` path: in-process, bit-identical to pre-parallel code.
 
     Retries and failure collection still apply (the classification is done
@@ -269,48 +268,35 @@ def _serial_map(fn, items, keys, policy, on_error, ordered):
     a second process, so ``timeout`` is a no-op here.
     """
     results: list[Any] = [None] * len(items)
-    failed: set[int] = set()
     failures: list[CellFailure] = []
     retries = 0
+
+    def retried() -> None:
+        nonlocal retries
+        retries += 1
+        observe.incr("resilience.retry")
+
     for i, item in enumerate(items):
-        attempt = 0
-        while True:
-            try:
-                chaos.on_worker_cell(keys[i], attempt)
-                results[i] = fn(item)
-                break
-            except BaseException as exc:  # noqa: BLE001 - classified below
-                retryable = is_retryable(exc)
-                if retryable and attempt < policy.max_retries:
-                    attempt += 1
-                    retries += 1
-                    observe.incr("resilience.retry")
-                    time.sleep(policy.backoff(attempt, keys[i]))
-                    continue
-                if on_error == "raise":
-                    raise
-                failures.append(
-                    CellFailure(
-                        key=keys[i],
-                        index=i,
-                        kind=KIND_EXCEPTION,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        attempts=attempt + 1,
-                        remote_traceback=traceback.format_exc(),
-                        retryable=retryable,
-                    )
+        before = retries
+        try:
+            results[i] = policy.call(keys[i], fn, item, on_retry=retried)
+        except Exception as exc:
+            if on_error == "raise":
+                raise
+            failures.append(
+                CellFailure(
+                    key=keys[i],
+                    index=i,
+                    kind=KIND_EXCEPTION,
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                    attempts=retries - before + 1,
+                    remote_traceback=traceback.format_exc(),
+                    retryable=is_retryable(exc),
                 )
-                failed.add(i)
-                observe.incr("resilience.failed")
-                break
-    if on_error == "collect":
-        if not ordered:
-            return MapOutcome(
-                results=[r for i, r in enumerate(results) if i not in failed],
-                failures=failures,
-                retries=retries,
             )
+            observe.incr("resilience.failed")
+    if on_error == "collect":
         return MapOutcome(results=results, failures=failures, retries=retries)
     return results
 
@@ -321,7 +307,6 @@ def _engine(
     keys,
     jobs,
     chunksize,
-    ordered,
     start_method,
     policy,
     timeout,
@@ -334,7 +319,6 @@ def _engine(
     result_queue = ctx.Queue()
     n = len(items)
     results: list[Any] = [_MISSING] * n
-    completion: list[Any] = []
     failures_by_index: dict[int, CellFailure] = {}
     attempts = [0] * n
     retries = 0
@@ -392,7 +376,6 @@ def _engine(
             if status == "ok":
                 if results[index] is _MISSING:
                     results[index] = payload
-                    completion.append(payload)
             else:
                 error_type, message, remote_tb = payload
                 cell_failed(index, KIND_EXCEPTION, error_type, message, remote_tb)
@@ -490,14 +473,12 @@ def _engine(
         span.set(retries=retries, failed=len(failures_by_index))
 
     if on_error == "collect":
-        failures = [failures_by_index[i] for i in sorted(failures_by_index)]
-        ordered_results = [None if r is _MISSING else r for r in results]
         return MapOutcome(
-            results=ordered_results if ordered else completion,
-            failures=failures,
+            results=[None if r is _MISSING else r for r in results],
+            failures=[failures_by_index[i] for i in sorted(failures_by_index)],
             retries=retries,
         )
-    return results if ordered else completion
+    return results
 
 
 def parallel_map(
@@ -505,7 +486,6 @@ def parallel_map(
     items: Iterable[T],
     jobs: int | None = None,
     chunksize: int | None = None,
-    ordered: bool = True,
     start_method: str | None = None,
     *,
     on_error: str = "raise",
@@ -518,11 +498,10 @@ def parallel_map(
 ) -> list[R] | MapOutcome:
     """Map ``fn`` over ``items`` across ``jobs`` worker processes.
 
-    ``ordered=True`` returns results positionally; ``ordered=False``
-    returns them in completion order (useful for progress reporting).
-    At ``jobs=1`` the map runs serially in-process and exceptions
-    propagate unwrapped; in parallel mode a worker failure raises
-    :class:`WorkerError` with the remote traceback attached.
+    Results come back positionally.  At ``jobs=1`` the map runs serially
+    in-process and exceptions propagate unwrapped; in parallel mode a
+    worker failure raises :class:`WorkerError` with the remote traceback
+    attached.
 
     Resilience knobs (all optional):
 
@@ -532,7 +511,8 @@ def parallel_map(
       ``REPRO_MAX_RETRIES`` or 2 retries;
     - ``timeout`` — per-cell deadline in seconds (scaled by chunk length
       per dispatch).  A stalled worker is terminated and replaced.
-      Defaults to ``REPRO_CELL_TIMEOUT`` or no deadline;
+      Defaults to ``REPRO_CELL_TIMEOUT`` or no deadline.  Serial maps
+      cannot enforce one, and the queue executor rejects one;
     - ``on_error="collect"`` — degrade instead of aborting: returns a
       :class:`MapOutcome` with partial results and structured
       :class:`CellFailure` records for cells that exhausted their budget;
@@ -549,7 +529,16 @@ def parallel_map(
     """
     if not callable(fn):
         raise ValueError(f"fn must be callable, got {type(fn).__name__}")
+    timeout = resolve_cell_timeout(timeout)
     if resolve_executor(executor) == "queue":
+        if timeout is not None:
+            # A lease only expires when its worker stops heartbeating, so
+            # a slow but live cell would run past any deadline.
+            raise ValueError(
+                f"the queue executor cannot enforce a {timeout:g}s cell "
+                "deadline; drop --cell-timeout (or REPRO_CELL_TIMEOUT) or "
+                "use the pool executor"
+            )
         from repro.queue.executor import queue_map
 
         return queue_map(
@@ -560,7 +549,6 @@ def parallel_map(
             queue_dir=queue_dir,
             on_error=on_error,
             max_retries=max_retries,
-            ordered=ordered,
         )
     if chunksize is not None:
         if not isinstance(chunksize, int) or isinstance(chunksize, bool):
@@ -579,10 +567,9 @@ def parallel_map(
         policy = retry_policy.with_max_retries(
             None if max_retries is None else resolve_max_retries(max_retries)
         )
-    timeout = resolve_cell_timeout(timeout)
     jobs = resolve_jobs(jobs)
     if jobs == 1 or len(items) <= 1:
-        return _serial_map(fn, items, cell_keys, policy, on_error, ordered)
+        return _serial_map(fn, items, cell_keys, policy, on_error)
     jobs = min(jobs, len(items))
     if chunksize is None:
         chunksize = default_chunksize(len(items), jobs)
@@ -603,7 +590,6 @@ def parallel_map(
                 cell_keys,
                 jobs,
                 chunksize,
-                ordered,
                 start_method,
                 policy,
                 timeout,
@@ -612,50 +598,3 @@ def parallel_map(
             )
     finally:
         observe.merge_worker_streams()
-
-
-class WorkerPool:
-    """A reusable handle bundling (jobs, chunksize, start method) plus the
-    resilience knobs (retry budget, per-cell timeout, degradation mode).
-
-    Thin sugar over :func:`parallel_map` for call sites that dispatch
-    several grids with one configuration.
-    """
-
-    def __init__(
-        self,
-        jobs: int | None = None,
-        chunksize: int | None = None,
-        start_method: str | None = None,
-        *,
-        on_error: str = "raise",
-        max_retries: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        timeout: float | None = None,
-    ):
-        self.jobs = resolve_jobs(jobs)
-        self.chunksize = chunksize
-        self.start_method = start_method
-        self.on_error = on_error
-        self.max_retries = max_retries
-        self.retry_policy = retry_policy
-        self.timeout = timeout
-
-    def _opts(self) -> dict:
-        return dict(
-            jobs=self.jobs,
-            chunksize=self.chunksize,
-            start_method=self.start_method,
-            on_error=self.on_error,
-            max_retries=self.max_retries,
-            retry_policy=self.retry_policy,
-            timeout=self.timeout,
-        )
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T], **overrides):
-        return parallel_map(fn, items, **{**self._opts(), **overrides})
-
-    def map_unordered(self, fn: Callable[[T], R], items: Iterable[T], **overrides):
-        return parallel_map(
-            fn, items, ordered=False, **{**self._opts(), **overrides}
-        )

@@ -161,7 +161,6 @@ def queue_map(
     on_error: str = "raise",
     max_retries: int | None = None,
     lease_seconds: float | None = None,
-    ordered: bool = True,
     poll_seconds: float = 0.5,
 ) -> list | MapOutcome:
     """Map ``fn`` over ``items`` through a durable on-disk work queue.
@@ -170,8 +169,9 @@ def queue_map(
     (call it with ``executor="queue"`` rather than calling this
     directly).  ``max_retries`` maps onto the lease budget — a task may
     burn ``max_retries + 1`` leases before quarantine, mirroring the
-    pool's "initial attempt plus N retries".  Timeouts are expressed by
-    the lease itself: a worker that stops heartbeating forfeits the cell.
+    pool's "initial attempt plus N retries".  There are no cell
+    deadlines (``parallel_map`` rejects one): a lease only expires when
+    its worker stops heartbeating, and then the worker forfeits the cell.
 
     At-least-once note: a cell may execute more than once (stale lease
     reclaimed from a live-but-slow worker).  That is safe for the
@@ -277,12 +277,5 @@ def queue_map(
             first.remote_traceback,
         )
     if on_error == "collect":
-        if not ordered:
-            failed = {f.index for f in failures}
-            return MapOutcome(
-                results=[r for i, r in enumerate(results) if i not in failed],
-                failures=failures,
-                retries=retries,
-            )
         return MapOutcome(results=results, failures=failures, retries=retries)
     return results

@@ -81,7 +81,6 @@ def resume_zoo(
     on_error: str = "collect",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    start_method: str | None = None,
     executor: str | None = None,
     queue_dir: str | Path | None = None,
 ):
@@ -121,7 +120,6 @@ def resume_zoo(
         specs,
         scale,
         jobs=jobs,
-        start_method=start_method,
         on_error=on_error,
         max_retries=max_retries,
         cell_timeout=cell_timeout,

@@ -19,7 +19,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import time
 from dataclasses import dataclass
+from typing import Any, Callable
 
 MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
@@ -135,6 +137,39 @@ class RetryPolicy:
             spread = 2.0 * stable_unit("backoff", key, attempt) - 1.0  # [-1, 1)
             delay *= 1.0 + self.jitter * spread
         return max(delay, 0.0)
+
+    def call(
+        self,
+        key: str,
+        fn: Callable,
+        *args: Any,
+        sleep: Callable[[float], None] = time.sleep,
+        on_retry: Callable[[], None] | None = None,
+    ) -> Any:
+        """``fn(*args)``, retried under this policy.
+
+        Each attempt first runs the chaos hook for ``key`` (where a real
+        fault would surface), then the call.  A transient ``Exception``
+        is retried after ``sleep(backoff(attempt, key))`` while budget
+        remains, calling ``on_retry()`` first; anything else propagates
+        as raised.  Only ``Exception`` is caught, so ``KeyboardInterrupt``
+        (Ctrl-C) and ``SystemExit`` always stop the caller.
+        """
+        # Lazy import: chaos imports this module for its seeded draws.
+        from repro.resilience import chaos
+
+        attempt = 0
+        while True:
+            try:
+                chaos.on_worker_cell(key, attempt)
+                return fn(*args)
+            except Exception as exc:
+                if attempt >= self.max_retries or not is_retryable(exc):
+                    raise
+                attempt += 1
+                if on_retry is not None:
+                    on_retry()
+                sleep(self.backoff(attempt, key))
 
     def with_max_retries(self, max_retries: int | None) -> "RetryPolicy":
         """This policy with ``max_retries`` overridden (``None`` keeps it)."""

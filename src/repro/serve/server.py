@@ -32,8 +32,7 @@ from typing import Callable
 import numpy as np
 
 from repro import observe
-from repro.resilience.chaos import on_worker_cell
-from repro.resilience.retry import RetryPolicy, is_retryable
+from repro.resilience.retry import RetryPolicy
 from repro.serve.batcher import Batch, DynamicBatcher, GroupKey, PendingResponse, Request
 from repro.serve.clock import Clock, VirtualClock
 from repro.serve.registry import ModelKey, ModelZooRegistry, as_model_key
@@ -246,27 +245,26 @@ class PruneServer:
     ) -> tuple[np.ndarray, float]:
         """One batch through the engine under the retry policy.
 
-        The chaos hook sits where a real backend fault would surface (in
-        front of the engine call), so fault drills can deterministically
-        fail a specific model's batches.  Backoff sleeps go through the
-        server clock: free under a virtual clock, real in production.
+        The policy's chaos hook sits where a real backend fault would
+        surface (in front of the engine call), so fault drills can
+        deterministically fail a specific model's batches.  Backoff
+        sleeps go through the server clock: free under a virtual clock,
+        real in production.
         """
-        chaos_key = f"serve/{group.model}"
-        attempt = 0
-        while True:
-            try:
-                on_worker_cell(chaos_key, attempt)
-                t0 = time.perf_counter()
-                logits = engine.logits(arr)
-                return logits, time.perf_counter() - t0
-            except Exception as exc:
-                if attempt >= self._policy.max_retries or not is_retryable(exc):
-                    raise
-                attempt += 1
-                with self._lock:
-                    self._metrics["retries"] += 1
-                observe.incr("serve.retries", model=group.model)
-                self.clock.sleep(self._policy.backoff(attempt, chaos_key))
+
+        def run() -> tuple[np.ndarray, float]:
+            t0 = time.perf_counter()
+            logits = engine.logits(arr)
+            return logits, time.perf_counter() - t0
+
+        def retried() -> None:
+            with self._lock:
+                self._metrics["retries"] += 1
+            observe.incr("serve.retries", model=group.model)
+
+        return self._policy.call(
+            f"serve/{group.model}", run, sleep=self.clock.sleep, on_retry=retried
+        )
 
     # -------------------------------------------------------- simulated mode
 

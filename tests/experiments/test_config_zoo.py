@@ -1,5 +1,8 @@
 """Experiment scale config and the cached model zoo."""
 
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,19 @@ class TestCaching:
         (tmp_path / "x.npz").write_bytes(b"")
         zoo.clear_cache()
         assert not list(tmp_path.glob("*.npz"))
+
+    def test_git_tracks_no_cache_files(self):
+        """Zoo artifacts are build outputs.  A tracked one of unknown
+        origin would load as a cache hit in every fresh checkout."""
+        try:
+            tracked = subprocess.run(
+                ["git", "ls-files", ".cache"],
+                cwd=Path(__file__).resolve().parents[2],
+                capture_output=True, text=True, check=True,
+            ).stdout
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip("not a git checkout")
+        assert tracked == ""
 
 
 class TestMemoize:

@@ -1,9 +1,11 @@
 """The grid scope: one evaluation grid loads each zoo artifact and builds
 each eval model once, shares them read-only, and keeps nothing after it
-returns; corrupt archives are loud cache misses."""
+returns; corrupt archives are loud cache misses.  A grid whose zoo lost a
+repetition skips that repetition's cells and keeps the others intact."""
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import warnings
@@ -23,7 +25,9 @@ from repro.experiments.corruption_study import (
     severity_sweep_experiment,
 )
 from repro.experiments.noise_study import _noise_cell, noise_potential_experiment
+from repro.experiments.prune_curves import _rep_cell, prune_curve_experiment
 from repro.observe import load_report
+from repro.resilience import FailureManifest, chaos
 from repro.utils.serialization import save_state
 
 MICRO = SMOKE.with_(
@@ -192,6 +196,88 @@ class TestBitwiseEqualToUnscopedCells:
             for rep in range(MICRO.n_repetitions)
         ]
         np.testing.assert_array_equal(result.potentials, want)
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_prune_curve(self, zoo_cache, jobs):
+        result = prune_curve(jobs)
+        cells = [_rep_cell(("cifar", "resnet20", "wt", MICRO, False, rep)) for rep in range(2)]
+        np.testing.assert_array_equal(result.ratios, np.mean([c[0] for c in cells], axis=0))
+        np.testing.assert_array_equal(result.errors, [c[1] for c in cells])
+        np.testing.assert_array_equal(result.parent_errors, [c[2] for c in cells])
+        np.testing.assert_array_equal(result.flop_reductions, [c[3] for c in cells])
+
+
+def prune_curve(jobs, **knobs):
+    prune_curve_experiment.cache_clear()
+    return prune_curve_experiment("cifar", "resnet20", "wt", MICRO, jobs=jobs, **knobs)
+
+
+@pytest.fixture
+def rep1_dies(zoo_cache, monkeypatch):
+    """A context that fails every zoo cell of repetition 1 and yields the
+    grid knobs to pass; chaos is off outside it."""
+    monkeypatch.delenv(chaos.ENV_VAR, raising=False)
+    monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
+    chaos.disable()
+
+    @contextlib.contextmanager
+    def dead():
+        chaos.configure(exception_rate=1.0, only_keys=("-rep1-",))
+        try:
+            yield dict(on_error="collect", max_retries=0)
+        finally:
+            chaos.disable()
+
+    return dead
+
+
+def assert_rep1_skipped(timing, eval_keys):
+    """Repetition 1's zoo died once; each of its eval cells is one
+    ``dependency`` failure, and ``total_cells`` counts both phases."""
+    parent, wt = (zoo.ZooSpec("cifar", "resnet20", m, 1).key(MICRO) for m in (None, "wt"))
+    kinds = {parent: "exception", wt: "dependency"}
+    kinds.update((key, "dependency") for key in eval_keys)
+    assert sorted(f.key for f in timing.failures) == sorted(kinds)
+    manifest = FailureManifest.load(timing.manifest_path)
+    assert {f.key: f.kind for f in manifest.failures} == kinds
+    assert manifest.total_cells == 4 + 2 * len(eval_keys)
+
+
+class TestDegradedGrids:
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_corruption(self, rep1_dies, jobs):
+        clean = corruption_grid(jobs)
+        with rep1_dies() as knobs:
+            result = corruption_potential_experiment(
+                "cifar", "resnet20", "wt", MICRO, corruptions=CORRUPTIONS, jobs=jobs, **knobs
+            )
+        assert np.isnan(result.potentials[1]).all()
+        np.testing.assert_array_equal(result.potentials[0], clean.potentials[0])
+        for name in result.distributions:
+            assert result.curves[name][1] is None
+            np.testing.assert_array_equal(result.curves[name][0].errors, clean.curves[name][0].errors)
+        assert_rep1_skipped(result.timing, [f"rep1/{name}" for name in result.distributions])
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_noise(self, rep1_dies, jobs):
+        clean = noise_potential_experiment("cifar", "resnet20", "wt", MICRO, jobs=jobs)
+        with rep1_dies() as knobs:
+            result = noise_potential_experiment("cifar", "resnet20", "wt", MICRO, jobs=jobs, **knobs)
+        assert np.isnan(result.potentials[1]).all()
+        np.testing.assert_array_equal(result.potentials[0], clean.potentials[0])
+        assert_rep1_skipped(result.timing, [f"rep1/noise{eps:.2f}" for eps in MICRO.noise_levels])
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_prune_curve(self, rep1_dies, jobs):
+        clean = prune_curve(jobs)
+        with rep1_dies() as knobs:
+            result = prune_curve(jobs, **knobs)
+        assert np.isnan(result.errors[1]).all() and np.isnan(result.parent_errors[1])
+        assert np.isnan(result.flop_reductions[1]).all()
+        np.testing.assert_array_equal(result.errors[0], clean.errors[0])
+        assert result.parent_errors[0] == clean.parent_errors[0]
+        np.testing.assert_array_equal(result.flop_reductions[0], clean.flop_reductions[0])
+        assert_rep1_skipped(result.timing, ["rep1"])
 
 
 class TestScopeSharing:

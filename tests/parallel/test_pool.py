@@ -8,7 +8,6 @@ import pytest
 
 from repro.parallel import (
     WorkerError,
-    WorkerPool,
     default_chunksize,
     parallel_map,
     resolve_jobs,
@@ -103,11 +102,6 @@ class TestParallelMap:
             x * x for x in items
         ]
 
-    def test_unordered_same_multiset(self):
-        items = list(range(17))
-        result = parallel_map(_square, items, jobs=2, ordered=False, chunksize=2)
-        assert sorted(result) == sorted(x * x for x in items)
-
     def test_empty_items(self):
         assert parallel_map(_square, [], jobs=4) == []
 
@@ -153,17 +147,3 @@ class TestParallelMap:
         assert parallel_map(abs, [-2, -1, 0, 1], jobs=2, start_method="spawn") == [
             2, 1, 0, 1,
         ]
-
-
-class TestWorkerPool:
-    def test_map(self):
-        pool = WorkerPool(jobs=2)
-        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_map_unordered(self):
-        pool = WorkerPool(jobs=2, chunksize=1)
-        assert sorted(pool.map_unordered(_square, range(5))) == [0, 1, 4, 9, 16]
-
-    def test_resolves_jobs_eagerly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-        assert WorkerPool().jobs == 3

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.parallel import MapOutcome, WorkerError, WorkerPool, parallel_map
+from repro.parallel import MapOutcome, WorkerError, parallel_map
 from repro.resilience import KIND_CRASH, KIND_EXCEPTION, KIND_TIMEOUT, RetryPolicy
 from repro.resilience import chaos
 
@@ -43,6 +43,16 @@ def _flaky(args):
             fh.write("tried")
         raise OSError("transient filesystem hiccup")
     return x * 10
+
+
+_SEEN: list[int] = []
+
+
+def _interrupt_on_zero(x):
+    _SEEN.append(x)
+    if x == 0:
+        raise KeyboardInterrupt
+    return x
 
 
 def _always_oserror(x):
@@ -119,16 +129,13 @@ class TestCollectSerial:
         assert not failure.retryable  # deterministic: never retried
         assert "_boom_on_two" in failure.remote_traceback
 
-    def test_unordered_collect_drops_holes(self):
-        out = parallel_map(
-            _boom_on_two,
-            [1, 2, 3],
-            jobs=1,
-            ordered=False,
-            on_error="collect",
-            max_retries=0,
-        )
-        assert sorted(out.results) == [10, 30]
+    def test_keyboard_interrupt_stops_the_map(self):
+        """Ctrl-C is not a cell failure: collect mode must not record it
+        and go on with the next cell."""
+        _SEEN.clear()
+        with pytest.raises(KeyboardInterrupt):
+            parallel_map(_interrupt_on_zero, [0, 1, 2], jobs=1, on_error="collect")
+        assert _SEEN == [0]
 
     def test_all_ok_outcome(self):
         out = parallel_map(_ident, [1, 2], jobs=1, on_error="collect")
@@ -254,16 +261,3 @@ class TestCollectParallel:
 
 def _crash_always(x):
     os._exit(23)
-
-
-class TestWorkerPoolResilience:
-    def test_pool_carries_collect_mode(self):
-        pool = WorkerPool(jobs=1, on_error="collect", max_retries=0)
-        out = pool.map(_boom_on_two, [1, 2, 3])
-        assert isinstance(out, MapOutcome)
-        assert out.failed_indices == [1]
-
-    def test_per_call_override(self):
-        pool = WorkerPool(jobs=1, on_error="collect", max_retries=0)
-        with pytest.raises(ValueError, match="bad item 2"):
-            pool.map(_boom_on_two, [1, 2, 3], on_error="raise")

@@ -13,6 +13,7 @@ from repro.parallel.pool import EXECUTOR_ENV, resolve_executor
 from repro.queue import QUEUE_DIR_ENV, Journal, queue_map
 from repro.queue.executor import resolve_queue_dir
 from repro.resilience.failures import KIND_QUARANTINE
+from repro.resilience.retry import CELL_TIMEOUT_ENV
 from repro.serve.clock import VirtualClock
 
 
@@ -21,6 +22,7 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv(QUEUE_DIR_ENV, raising=False)
     monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+    monkeypatch.delenv(CELL_TIMEOUT_ENV, raising=False)
 
 
 def run(items=(1.0, 4.0, 9.0), keys=("a", "b", "c"), **kw):
@@ -112,19 +114,6 @@ class TestQueueMap:
         with pytest.raises(ValueError, match="unique cell keys"):
             run(keys=("a", "a", "c"))
 
-    def test_unordered_collect_drops_holes(self):
-        out = queue_map(
-            operator.neg,
-            [1, "bad"],
-            jobs=1,
-            keys=["k0", "k1"],
-            clock=VirtualClock(),
-            on_error="collect",
-            max_retries=0,
-            ordered=False,
-        )
-        assert out.results == [-1]
-
 
 class TestParallelMapSeam:
     def test_parallel_map_routes_to_queue(self, tmp_path):
@@ -144,6 +133,29 @@ class TestParallelMapSeam:
         monkeypatch.setenv(QUEUE_DIR_ENV, str(tmp_path / "via-env"))
         assert parallel_map(math.sqrt, [25.0], jobs=1, keys=["a"]) == [5.0]
         assert (tmp_path / "via-env" / "journal.jsonl").exists()
+
+    def test_deadline_rejected(self, tmp_path):
+        """A lease only expires when its worker stops heartbeating, so the
+        queue cannot stop a slow cell at a deadline; it refuses one."""
+        with pytest.raises(ValueError, match="--cell-timeout"):
+            parallel_map(
+                math.sqrt, [1.0], jobs=1, keys=["a"], timeout=0.3,
+                executor="queue", queue_dir=tmp_path / "q",
+            )
+        assert not (tmp_path / "q").exists()
+
+    def test_env_deadline_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CELL_TIMEOUT_ENV, "0.3")
+        with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
+            parallel_map(
+                math.sqrt, [1.0], jobs=1, keys=["a"],
+                executor="queue", queue_dir=tmp_path / "q",
+            )
+        monkeypatch.setenv(CELL_TIMEOUT_ENV, "0")  # non-positive: no deadline
+        assert parallel_map(
+            math.sqrt, [1.0], jobs=1, keys=["a"],
+            executor="queue", queue_dir=tmp_path / "q",
+        ) == [1.0]
 
     def test_pool_default_untouched(self, tmp_path):
         assert parallel_map(math.sqrt, [25.0], jobs=1) == [5.0]

@@ -1,30 +1,14 @@
 """Static validity of the benchmark zoo manifest (no training involved)."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
-import pytest
-
+from repro.experiments.zoo import BENCH_ZOO
 from repro.models import available_models
 from repro.pruning import available_methods
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[name] = mod
-    spec.loader.exec_module(mod)
-    return mod
 
 
 class TestZooManifest:
     def test_entries_reference_real_models_and_methods(self):
-        mod = _load("build_zoo")
         tasks = {"cifar", "imagenet", "voc"}
-        for task, model, method, reps, robust in mod.BENCH_ZOO:
+        for task, model, method, reps, robust in BENCH_ZOO:
             assert task in tasks
             assert model in available_models(), model
             assert method in available_methods(), method
@@ -32,13 +16,11 @@ class TestZooManifest:
             assert isinstance(robust, bool)
 
     def test_covers_all_methods_on_cifar(self):
-        mod = _load("build_zoo")
         cifar_methods = {
-            method for task, _, method, _, robust in mod.BENCH_ZOO
+            method for task, _, method, _, robust in BENCH_ZOO
             if task == "cifar" and not robust
         }
         assert cifar_methods == set(available_methods())
 
     def test_covers_all_tasks(self):
-        mod = _load("build_zoo")
-        assert {t for t, *_ in mod.BENCH_ZOO} == {"cifar", "imagenet", "voc"}
+        assert {t for t, *_ in BENCH_ZOO} == {"cifar", "imagenet", "voc"}
