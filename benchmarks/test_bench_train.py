@@ -10,6 +10,13 @@ then
 - asserts the compiled path reaches the >= 2x per-step speedup target on
   at least one model (per-model factors vary with BLAS/core count; the
   deep ResNets are the reliable winners).
+
+Each model's ``first_step_s`` is what a new batch shape costs: the best
+of three fresh engines' first ``step``, which traces the step, builds the
+gradient plan, validates it and applies it.  ``host`` records what the
+numbers depend on (CPU count, BLAS, thread pins).
+
+    PYTHONPATH=src:. python -m pytest -q -s benchmarks/test_bench_train.py
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from benchmarks.suite.host import fingerprint
 from repro.autograd.tensor import Tensor
 from repro.infer import TrainEngine
 from repro.models.registry import build_model
@@ -32,6 +40,7 @@ BENCH_MODELS = ("resnet56", "densenet22", "wrn16_8")
 BATCH_SIZE = 64
 ROUNDS = 6
 INNER = 2
+FIRST_STEPS = 3
 
 
 def _interleaved(fn_a, fn_b, rounds=ROUNDS, inner=INNER):
@@ -61,12 +70,18 @@ def test_bench_train():
     labels = rng.integers(0, 10, BATCH_SIZE)
     rows = {}
     for name in BENCH_MODELS:
-        model = build_model(name, rng=np.random.default_rng(3))
-        loss_fn = CrossEntropyLoss()
-        optimizer = SGD(
-            model.parameters(), lr=0.01, momentum=0.9, weight_decay=1e-4
-        )
-        engine = TrainEngine(model, loss_fn, optimizer)
+        first_step_s = float("inf")
+        for _ in range(FIRST_STEPS):
+            model = build_model(name, rng=np.random.default_rng(3))
+            loss_fn = CrossEntropyLoss()
+            optimizer = SGD(
+                model.parameters(), lr=0.01, momentum=0.9, weight_decay=1e-4
+            )
+            engine = TrainEngine(model, loss_fn, optimizer)
+            start = time.perf_counter()
+            engine.step(images, labels)  # traces, validates and applies the plan
+            first_step_s = min(first_step_s, time.perf_counter() - start)
+            assert engine.compiled_for(images, labels), f"{name} fell back to the tape"
 
         def tape_step():
             model.train()
@@ -74,9 +89,6 @@ def test_bench_train():
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-
-        engine.step(images, labels)  # warm-up: traces + compiles the plan
-        assert engine.compiled_for(images, labels), f"{name} fell back to the tape"
 
         tape_s, engine_s = _interleaved(
             tape_step, lambda: engine.step(images, labels)
@@ -86,10 +98,12 @@ def test_bench_train():
             "engine_s": round(engine_s, 4),
             "speedup": round(tape_s / engine_s, 3),
             "steps_per_s": round(1.0 / engine_s, 2),
+            "first_step_s": round(first_step_s, 4),
         }
 
     best = max(row["speedup"] for row in rows.values())
     report = {
+        "host": fingerprint(),
         "batch_size": BATCH_SIZE,
         "input_shape": [3, 16, 16],
         "rounds": ROUNDS,
@@ -102,7 +116,8 @@ def test_bench_train():
     for name, row in rows.items():
         print(
             f"BENCH_train: {name} tape {row['tape_s']:.3f}s/step, "
-            f"compiled {row['engine_s']:.3f}s/step, speedup {row['speedup']:.2f}x"
+            f"compiled {row['engine_s']:.3f}s/step, speedup {row['speedup']:.2f}x, "
+            f"first step {row['first_step_s']:.3f}s"
         )
 
     assert best >= SPEEDUP_TARGET, (

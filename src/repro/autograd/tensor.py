@@ -226,3 +226,18 @@ def build(
 
         out._backward = _backward
     return out
+
+
+def free_tape(*roots: Tensor) -> None:
+    """Unlink the finished tape below ``roots`` so that it dies by refcount.
+
+    Every op's backward closure holds its own output, so a tape is one big
+    reference cycle: left alone, a whole step's activations stay resident
+    until the cyclic garbage collector happens to run, and the peak memory
+    of a process that keeps stepping depends on when that is.
+    """
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        stack.extend(node._prev)
+        node._prev, node._backward = (), None

@@ -1,4 +1,4 @@
-"""Graph capture: run one eval-mode forward and record every tensor op.
+"""Graph capture: run one forward and record every tensor op.
 
 The autograd stack funnels all tensor math through module-level functions
 (``repro.autograd.ops`` / ``repro.autograd.functional``) that are *also*
@@ -8,9 +8,13 @@ installed as :class:`Tensor` methods.  Tracing therefore patches
 - the ``functional`` / ``ops`` module attributes that layers look up at
   call time (``F.conv2d``, ``ops.concatenate``, ...),
 
-runs the model once under :func:`no_grad`, and restores everything in a
-``finally``.  Each wrapper calls the original op (so the traced forward is
-bit-identical to a normal one) and appends a :class:`Node` to the graph.
+runs the model once, and restores everything in a ``finally``.  Each
+wrapper calls the original op (so the traced forward is bit-identical to a
+normal one) and appends a :class:`Node` to the graph.  :func:`trace` runs
+the eval forward under :func:`no_grad`; :func:`trace_training` keeps the
+tape on and, once the patches are gone, runs the backward too, so the
+traced step doubles as the reference its gradient plan is validated
+against.
 
 Leaves are classified by identity against the model's registered state:
 parameters and buffers become named leaves re-resolved at plan refresh
@@ -31,7 +35,7 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd import ops
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor, free_tape, no_grad
 from repro.nn.module import Module
 
 
@@ -81,6 +85,10 @@ class TrainGraph:
     ``bn_updates`` carries one entry per BatchNorm layer: the tuple-get
     node indices of the batch mean/var plus the running-buffer names,
     momentum, and element count needed to replay the in-place update.
+
+    The ``sample_*`` fields record the traced step itself: its loss and
+    logits, every parameter's gradient (``None`` where the tape left it
+    unset) and the running-stat buffers as the forward left them.
     """
 
     nodes: list[Node]
@@ -92,6 +100,8 @@ class TrainGraph:
     bn_updates: list[dict]
     sample_loss: np.ndarray
     sample_logits: np.ndarray
+    sample_grads: dict[str, np.ndarray | None]
+    sample_buffers: dict[str, np.ndarray]
 
 
 # Leaf ops of traced graphs: slots bound from outside, never runtime steps.
@@ -471,39 +481,73 @@ def trace(model: Module, sample: np.ndarray) -> Graph:
     )
 
 
+@contextmanager
+def sandboxed_step(model: Module) -> Iterator[list]:
+    """Take one train-mode step on ``model`` without keeping its effects.
+
+    Yields ``model``'s named parameters with their ``grad`` slots cleared.
+    On exit the ``grad`` slots, every buffer (BatchNorm running stats
+    included: the train-mode forward updates them in place) and the
+    train/eval state are restored, also on exception.
+    """
+    params = list(model.named_parameters())
+    saved = [p.grad for _, p in params]
+    snapshot = {name: buf.copy() for name, buf in model.named_buffers()}
+    was_training = model.training
+    model.train()
+    try:
+        for _, p in params:
+            p.grad = None
+        yield params
+    finally:
+        model.train(was_training)
+        for (_, p), grad in zip(params, saved):
+            p.grad = grad
+        # Restore in place: rebinding via set_buffer would orphan the
+        # array identities a tracer keys its buffer leaves on.
+        for name, buf in model.named_buffers():
+            buf[...] = snapshot[name]
+
+
 def trace_training(
     model: Module, loss_fn, sample: np.ndarray, labels: np.ndarray
 ) -> TrainGraph:
-    """Capture a train-mode forward + loss as a :class:`TrainGraph`.
+    """Capture a train-mode step as a :class:`TrainGraph`.
 
     Runs ``loss_fn(model(sample), labels)`` once with the model in train
-    mode under the tracing patches.  The trace is side-effect free: every
-    buffer (BatchNorm running stats included — the real train-mode forward
-    updates them in place) is snapshotted before and restored, in place,
-    after.  The model's train/eval state is restored on exit as well.
+    mode under the tracing patches, with the tape on, then runs the
+    backward once the patches are gone, and records the step's loss,
+    logits, gradients and running-stat buffers in the graph.  The trace is
+    side-effect free (see :func:`sandboxed_step`), and the tape is
+    unlinked before returning, so its activations die with the call.
     """
     tracer = _Tracer(model, training=True)
     tracer.label_value = np.asarray(labels)
     inp = Tensor(sample)
     tracer.bind(inp, tracer.emit("input", shape=inp.shape))
-    was_training = model.training
-    snapshot = {name: buf.copy() for name, buf in model.named_buffers()}
-    model.train()
-    try:
-        with no_grad(), _patched(tracer):
-            logits = model(inp)
-            loss = loss_fn(logits, tracer.label_value)
-    finally:
-        model.train(was_training)
-        # Restore in place: rebinding via set_buffer would orphan the
-        # array identities this tracer just keyed its buffer leaves on.
-        for name, buf in model.named_buffers():
-            buf[...] = snapshot[name]
-    for tensor, what in ((logits, "logits"), (loss, "loss")):
-        if not isinstance(tensor, Tensor):
-            raise TraceError(f"{what} is {type(tensor).__name__}, not a Tensor")
-        if tracer.var_of.get(id(tensor)) is None:
-            raise TraceError(f"{what} was not produced by traced ops")
+    with sandboxed_step(model) as params:
+        try:
+            with _patched(tracer):
+                logits = model(inp)
+                loss = loss_fn(logits, tracer.label_value)
+            for tensor, what in ((logits, "logits"), (loss, "loss")):
+                if not isinstance(tensor, Tensor):
+                    raise TraceError(
+                        f"{what} is {type(tensor).__name__}, not a Tensor"
+                    )
+                if tracer.var_of.get(id(tensor)) is None:
+                    raise TraceError(f"{what} was not produced by traced ops")
+            loss.backward()
+            # Each grad is a fresh array the restore below lets go of.
+            grads = {name: p.grad for name, p in params}
+            buffers = dict(model.named_buffers())
+            stat_buffers = {
+                name: buffers[name].copy()
+                for upd in tracer.bn_updates
+                for name in (upd["running_mean"], upd["running_var"])
+            }
+        finally:
+            free_tape(*(t for t in tracer.keep if isinstance(t, Tensor)))
     return TrainGraph(
         nodes=tracer.nodes,
         shapes=tracer.shapes,
@@ -514,4 +558,6 @@ def trace_training(
         bn_updates=tracer.bn_updates,
         sample_loss=loss.data.copy(),
         sample_logits=logits.data.copy(),
+        sample_grads=grads,
+        sample_buffers=stat_buffers,
     )

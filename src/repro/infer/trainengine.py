@@ -1,20 +1,24 @@
 """The training engine: compiled gradient plans behind one seam.
 
 :func:`train_engine_for` is the seam ``Trainer.train`` goes through.  The
-engine traces one train-mode forward + loss per (input shape, label shape),
-derives a static backward (see :mod:`repro.infer.grad`), and then serves
-every batch of that shape from the flat plan: no per-batch tape, closures,
-or Python autograd traversal.  The tape path remains as fallback — for
+engine traces one train-mode step per (input shape, label shape), derives
+a static backward (see :mod:`repro.infer.grad`), and then serves every
+batch of that shape from the flat plan: no per-batch tape, closures, or
+Python autograd traversal.  The tape path remains as fallback — for
 ``REPRO_TRAINC=0``, untraceable models (active dropout, tensor indexing),
 or a plan that fails its compile-time validation.
 
 Correctness machinery:
 
-- every plan is validated at compile time against a full tape step on the
-  probe batch — loss, logits, every parameter gradient, and the BatchNorm
+- every plan is validated at compile time against the tape step its trace
+  ran on the first batch (:func:`~repro.infer.trace.trace_training`
+  records it) — loss, logits, every parameter gradient, and the BatchNorm
   running-stat updates must agree (bitwise in exact mode, within a
-  scale-aware tolerance in fast mode); the reference pass snapshots and
-  restores gradients and buffers, so validation is side-effect free;
+  scale-aware tolerance in fast mode).  The validated run is that batch's
+  step, so a compile costs one tape step and one plan run.  This relies
+  on the tracer wrappers computing exactly what the plain forward does;
+  ``tests/infer/test_grad_plan.py::test_traced_step_is_the_tape_step``
+  holds every registry architecture to that, bitwise;
 - parameters and buffers are bound *live* on every run (SGD mutates them
   each batch), so there is no constant refresh or content signature; the
   only cached-plan staleness hazard is mask *topology* — pruning a
@@ -35,11 +39,11 @@ import weakref
 import numpy as np
 
 from repro import observe
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, free_tape
 from repro.infer.engine import HeldModel, share_engine
 from repro.infer.grad import GradPlan
 from repro.infer.plan import CompileError
-from repro.infer.trace import TraceError, trace_training
+from repro.infer.trace import TraceError, sandboxed_step, trace_training
 from repro.nn.module import Module
 
 ENV_VAR_TRAIN = "REPRO_TRAINC"
@@ -103,21 +107,6 @@ def _update_running_stats(buffers: dict, bn_updates: list[dict], stats) -> None:
         rv += momentum * var * (m / max(m - 1, 1))
 
 
-def _free_tape(root: Tensor) -> None:
-    """Unlink a finished tape so that it dies by reference count.
-
-    Every op's backward closure holds its own output, so a tape is one big
-    reference cycle: left alone, a whole step's activations stay resident
-    until the cyclic garbage collector happens to run, and the peak memory
-    of a process that validates plans depends on when that is.
-    """
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node._prev)
-        node._prev, node._backward = (), None
-
-
 def _mask_signature(model: Module) -> tuple:
     """Which prunable layers currently have an active mask.
 
@@ -156,45 +145,34 @@ class TrainEngine(HeldModel):
     # -------------------------------------------------------------- compile
 
     def _tape_reference(self, x: np.ndarray, y: np.ndarray):
-        """One tape step's outputs without its side effects.
+        """One untraced tape step's outputs without its side effects.
 
         Returns ``(loss, logits, grads, stat_buffers)``; parameter ``grad``
         slots and every model buffer are restored before returning, and the
-        optimizer is never stepped.
+        optimizer is never stepped.  The independent reference of
+        ``oracle_grad_plan_parity``; compiles validate against the step
+        their trace records instead.
         """
-        params = list(self.model.named_parameters())
-        saved = [p.grad for _, p in params]
-        snapshot = {name: buf.copy() for name, buf in self.model.named_buffers()}
-        was_training = self.model.training
-        self.model.train()
-        try:
-            for _, p in params:
-                p.grad = None
+        with sandboxed_step(self.model) as params:
             logits = self.model(Tensor(x))
             loss = self.loss_fn(logits, y)
             loss.backward()
-            grads = {
-                name: None if p.grad is None else p.grad.copy()
-                for name, p in params
-            }
+            grads = {name: p.grad for name, p in params}
             stat_buffers = {
                 name: buf.copy() for name, buf in self.model.named_buffers()
             }
             result = float(loss.data), logits.data.copy(), grads, stat_buffers
-            _free_tape(loss)
+            free_tape(loss)
             return result
-        finally:
-            self.model.train(was_training)
-            for (_, p), grad in zip(params, saved):
-                p.grad = grad
-            for name, buf in self.model.named_buffers():
-                buf[...] = snapshot[name]
 
-    def _validate(self, plan: GradPlan, x: np.ndarray, y: np.ndarray) -> None:
-        want_loss, want_logits, want_grads, want_buffers = self._tape_reference(x, y)
-        loss, logits, grads, stats = plan.run(x, y)
+    def _validate(self, plan: GradPlan, result, reference) -> None:
+        """Raise :exc:`CompileError` unless ``result``, a ``plan.run`` output
+        ``(loss, logits, grads, stats)``, agrees with ``reference``, a tape
+        step ``(loss, logits, grads, stat_buffers)`` on the same batch."""
+        loss, logits, grads, stats = result
+        want_loss, want_logits, want_grads, want_buffers = reference
         if not _close(loss, want_loss, plan.exact):
-            raise CompileError(f"loss parity: {float(loss)} vs {want_loss}")
+            raise CompileError(f"loss parity: {float(loss)} vs {float(want_loss)}")
         if not _close(logits, want_logits, plan.exact):
             raise CompileError("logits parity failed")
         for name, want in want_grads.items():
@@ -212,7 +190,12 @@ class TrainEngine(HeldModel):
                 if not _close(buffers[name], want_buffers[name], plan.exact):
                     raise CompileError(f"running-stat parity failed for {name!r}")
 
-    def _compile(self, x: np.ndarray, y: np.ndarray) -> GradPlan | None:
+    def _compile(self, x: np.ndarray, y: np.ndarray):
+        """Trace, build and validate the plan for this batch's shapes.
+
+        Returns the validated ``plan.run(x, y)`` — this batch's step, for
+        the caller to apply — or None when the shapes fall back to the tape.
+        """
         key = (x.shape, x.dtype.str, np.asarray(y).shape)
         with observe.span(
             "trainc.compile", shape=list(x.shape), exact=self.exact
@@ -220,7 +203,11 @@ class TrainEngine(HeldModel):
             try:
                 graph = trace_training(self.model, self.loss_fn, x, y)
                 plan = GradPlan(graph, self.model, exact=self.exact)
-                self._validate(plan, x, y)
+                result = plan.run(x, y)
+                self._validate(plan, result, (
+                    graph.sample_loss, graph.sample_logits,
+                    graph.sample_grads, graph.sample_buffers,
+                ))
             except (TraceError, CompileError) as exc:
                 observe.event(
                     "trainc.fallback", shape=list(x.shape), reason=repr(exc)
@@ -228,7 +215,7 @@ class TrainEngine(HeldModel):
                 self._plans[key] = None
                 return None
         self._plans[key] = plan
-        return plan
+        return result
 
     # ------------------------------------------------------------- fallback
 
@@ -256,13 +243,12 @@ class TrainEngine(HeldModel):
             self._masks = masks
         x = np.asarray(x)
         key = (x.shape, x.dtype.str, np.asarray(y).shape)
-        if key not in self._plans:
-            self._compile(x, y)
+        first = self._compile(x, y) if key not in self._plans else None
         plan = self._plans[key]
         if plan is None:
             observe.incr("trainc.fallback_batches")
             return self._tape_step(x, y)
-        loss, logits, grads, stats = plan.run(x, y)
+        loss, logits, grads, stats = first if first is not None else plan.run(x, y)
         if plan.bn_updates:
             _update_running_stats(
                 dict(self.model.named_buffers()), plan.bn_updates, stats

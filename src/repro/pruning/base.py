@@ -105,13 +105,18 @@ class PruneMethod(abc.ABC):
         """Prune ``model`` to a cumulative weight ratio of ``target_ratio``.
 
         ``sample_inputs`` (normalized) is required by data-informed methods.
-        Returns the achieved ratio.
+        Returns the achieved ratio.  Rounding usually takes a prune past
+        its target; a later target that falls inside that overshoot is
+        already met, and the call returns the current ratio untouched.
         """
         self._validate(model, target_ratio)
         sample = self._require_sample(sample_inputs)
         achieved = current = model_prune_ratio(model)
+        if target_ratio < current - 1e-9:  # let through: met by the last prune
+            return current
         for sub_target in self._schedule(current, target_ratio):
             achieved = self._prune_step(model, sub_target, sample)
+        model._last_prune = (target_ratio, achieved)
         return achieved
 
     @abc.abstractmethod
@@ -153,7 +158,12 @@ class PruneMethod(abc.ABC):
         if not 0.0 <= target_ratio < 1.0:
             raise ValueError(f"target_ratio must be in [0, 1), got {target_ratio}")
         current = model_prune_ratio(model)
-        if target_ratio < current - 1e-9:
+        # The model's last prune call may have rounded past this target
+        # from a lower one: then the target is already met, not undercut.
+        last_target, last_ratio = getattr(model, "_last_prune", (None, None))
+        if target_ratio < current - 1e-9 and not (
+            last_ratio == current and last_target <= target_ratio
+        ):
             raise ValueError(
                 f"target ratio {target_ratio:.3f} below current ratio "
                 f"{current:.3f}; pruning is monotone"

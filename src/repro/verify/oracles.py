@@ -221,8 +221,8 @@ def oracle_grad_plan_parity(
 ) -> VerificationReport:
     """Compiled training-step gradients ≡ tape gradients.
 
-    Two differential checks against one side-effect-free tape step on the
-    probe batch:
+    Two differential checks against one side-effect-free, untraced tape
+    step on the probe batch:
 
     - ``grad_plan_parity_exact`` — a plan built with the tape-replicating
       kernel table must agree **bitwise** on loss, logits, and every
@@ -244,7 +244,8 @@ def oracle_grad_plan_parity(
     x = np.asarray(inputs, dtype=np.float32)
     y = np.asarray(targets)
     engine = TrainEngine(model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.1))
-    want_loss, want_logits, want_grads, _ = engine._tape_reference(x, y)
+    reference = engine._tape_reference(x, y)
+    want_loss, want_logits, want_grads, _ = reference
     try:
         graph = trace_training(model, engine.loss_fn, x, y)
         plan = GradPlan(graph, model, exact=True)
@@ -273,7 +274,7 @@ def oracle_grad_plan_parity(
         return report
     try:
         fast = GradPlan(graph, model, exact=False)
-        engine._validate(fast, x, y)
+        engine._validate(fast, fast.run(x, y), reference)
         report.add("grad_plan_parity_fast", True)
     except CompileError as exc:
         report.add(

@@ -12,6 +12,7 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.prunable import PrunableWeightMixin
 from repro.optim import SGD
 from repro.verify import oracle_grad_plan_parity
+from repro.verify.oracles import _registry_probes
 
 from tests.conftest import make_tiny_cnn
 
@@ -176,14 +177,124 @@ def test_registry_compiled_step_smoke(name, monkeypatch):
 
 
 def test_tape_reference_leaves_no_reference_cycles(batch):
-    """The compile-time tape step frees its graph: its activations die with
-    the call instead of waiting for the cyclic garbage collector."""
-    model = make_tiny_cnn()
-    engine = TrainEngine(model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.1))
+    """The compile-time tape steps free their graphs: the untraced reference
+    and the step ``trace_training`` records both let their activations die
+    with the call instead of waiting for the cyclic garbage collector."""
+    rng = np.random.default_rng(0)
+    x16 = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+    y16 = rng.integers(0, 10, 4)
+    subjects = [(make_tiny_cnn(), *batch)] + [
+        (build_model(name, rng=np.random.default_rng(3)), x16, y16)
+        for name in ("resnet20", "vgg16", "densenet22", "wrn16_8")
+    ]
     gc.collect()
     gc.disable()
     try:
-        engine._tape_reference(*batch)
-        assert gc.collect() == 0
+        for model, x, y in subjects:
+            loss_fn = CrossEntropyLoss()
+            engine = TrainEngine(model, loss_fn, SGD(model.parameters(), lr=0.1))
+            engine._tape_reference(x, y)
+            assert gc.collect() == 0
+            trace_training(model, loss_fn, x, y)
+            assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_traced_step_is_the_tape_step():
+    """Compiles validate their plan against the step ``trace_training``
+    records, so that step must be the one the plain forward takes: a
+    tracer wrapper that calls an op differently (a re-declared default,
+    say) would otherwise pass its own check.  Every registry probe holds
+    the recorded step bitwise to an untraced tape step."""
+    checked, bad = 0, []
+    for subject, model, x, y in _registry_probes(4, with_targets=True):
+        loss_fn = CrossEntropyLoss()
+        engine = TrainEngine(model, loss_fn, SGD(model.parameters(), lr=0.1))
+        want_loss, want_logits, want_grads, want_buffers = engine._tape_reference(x, y)
+        graph = trace_training(model, loss_fn, x, y)
+        checked += 1
+        if not np.array_equal(graph.sample_loss, want_loss):
+            bad.append(f"{subject} loss")
+        if not np.array_equal(graph.sample_logits, want_logits):
+            bad.append(f"{subject} logits")
+        if set(graph.sample_grads) != set(want_grads):
+            bad.append(f"{subject} gradient names")
+        for name, want in want_grads.items():
+            got = graph.sample_grads.get(name)
+            if (got is None) != (want is None) or (
+                want is not None and not np.array_equal(got, want)
+            ):
+                bad.append(f"{subject} gradient {name}")
+        stat_names = {
+            name
+            for upd in graph.bn_updates
+            for name in (upd["running_mean"], upd["running_var"])
+        }
+        if set(graph.sample_buffers) != stat_names:
+            bad.append(f"{subject} running-stat names")
+        for name in stat_names:
+            if not np.array_equal(graph.sample_buffers.get(name), want_buffers[name]):
+                bad.append(f"{subject} running stat {name}")
+    assert checked == 3 * len(available_models())
+    assert not bad, bad
+
+
+def test_first_step_runs_the_plan_and_the_model_once(batch, monkeypatch):
+    """A new shape's first step is the step its compile validated: one
+    plan run and one (traced) forward.  Later steps run the plan alone."""
+    x, y = batch
+    model = make_tiny_cnn()
+    engine = TrainEngine(model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.1))
+    calls = {"run": 0, "forward": 0}
+    plan_run, forward = GradPlan.run, model.forward
+
+    def counted_run(plan, *args):
+        calls["run"] += 1
+        return plan_run(plan, *args)
+
+    def counted_forward(*args):
+        calls["forward"] += 1
+        return forward(*args)
+
+    monkeypatch.setattr(GradPlan, "run", counted_run)
+    monkeypatch.setattr(model, "forward", counted_forward)
+
+    def step_calls(x, y):
+        calls.update(run=0, forward=0)
+        engine.step(x, y)
+        assert engine.compiled_for(x, y)
+        return calls["run"], calls["forward"]
+
+    assert step_calls(x, y) == (1, 1)
+    assert step_calls(x, y) == (1, 0)
+    assert step_calls(x[:4], y[:4]) == (1, 1)
+    assert step_calls(x[:4], y[:4]) == (1, 0)
+
+
+def test_failed_validation_falls_back_to_the_tape(batch, monkeypatch):
+    """A plan that disagrees with the traced step never serves: its shape
+    falls back to the tape, and the first step is the tape's, on a model
+    the failed compile left untouched."""
+    x, y = batch
+    model, tape_model = make_tiny_cnn(), make_tiny_cnn()
+    plan_run = GradPlan.run
+
+    def off_by_one(plan, *args):
+        loss, logits, grads, stats = plan_run(plan, *args)
+        return loss + 1.0, logits, grads, stats
+
+    monkeypatch.setattr(GradPlan, "run", off_by_one)
+    engine = TrainEngine(model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.1))
+    loss, logits = engine.step(x, y)
+    assert not engine.compiled_for(x, y)
+    monkeypatch.setenv("REPRO_TRAINC", "0")
+    tape = TrainEngine(
+        tape_model, CrossEntropyLoss(), SGD(tape_model.parameters(), lr=0.1)
+    )
+    tape_loss, tape_logits = tape.step(x, y)
+    assert loss == tape_loss
+    np.testing.assert_array_equal(logits, tape_logits)
+    want = tape_model.state_dict()
+    for name, value in model.state_dict().items():
+        np.testing.assert_array_equal(value, want[name], err_msg=name)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.prune_potential import prune_potential_from_curve
 from repro.pruning import (
@@ -31,6 +31,8 @@ class TestWTProperties:
     @given(
         st.lists(st.floats(0.05, 0.95), min_size=2, max_size=4, unique=True).map(sorted)
     )
+    # The first prune's rounding reaches 0.950083, past the second target.
+    @example([0.9499999999999998, 0.95])
     def test_iterative_sequence_monotone(self, targets):
         model = make_tiny_cnn()
         wt = WeightThresholding()

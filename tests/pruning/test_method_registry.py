@@ -260,6 +260,33 @@ class TestPruneBehavior:
         assert ratios[-1] == pytest.approx(0.8, abs=0.01)
 
 
+class TestRisingTargets:
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_target_inside_the_last_overshoot_is_met(self, name):
+        """Rounding takes a prune past its target; a rising target that
+        lands inside that overshoot is already met, not a monotonicity
+        violation, and a falling one still is."""
+        overshot = 0
+        for first in np.linspace(0.05, 0.7, 15):
+            model = make_tiny_cnn()
+            method = build_method(name)
+            sample = sample_batch() if method.data_informed else None
+            achieved = method.prune(model, first, sample)
+            overshot += achieved > first
+            masks = [layer.weight_mask.copy() for _, layer in prunable_layers(model)]
+            for target in (first + (achieved - first) / 2, achieved + 0.05):
+                reached = method.prune(model, target, sample)
+                assert reached >= achieved
+                after = [layer.weight_mask for _, layer in prunable_layers(model)]
+                for before, now in zip(masks, after):
+                    assert not ((before == 0) & (now == 1)).any(), "mask revived"
+                masks, achieved = [m.copy() for m in after], reached
+            if achieved > first:
+                with pytest.raises(ValueError, match="monotone"):
+                    method.prune(model, first, sample)
+        assert overshot, "no first target overshot; nothing was tested"
+
+
 class TestDescribe:
     def test_table_lists_every_method(self):
         text = describe_methods()
