@@ -9,6 +9,11 @@ Builds the same micro zoo twice into fresh cache directories — once with
 - asserts the >= 2x speedup target only on hosts with >= 4 CPU cores
   (on a single-core container the pool degenerates to time slicing and
   wall-clock speedup is physically impossible).
+
+``host`` records what the numbers depend on (CPU count, BLAS, thread
+pins): a ``jobs=4`` speedup means nothing without the core count.
+
+    PYTHONPATH=src:. python -m pytest -q -s benchmarks/test_bench_parallel_scaling.py
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from benchmarks.suite.host import fingerprint
 from repro.experiments import SMOKE, ZooSpec
 from repro.experiments import zoo
 from repro.utils.serialization import load_state
@@ -74,9 +80,9 @@ def test_bench_parallel_scaling(tmp_path, monkeypatch):
 
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     report = {
+        "host": fingerprint(),
         "cells": len(BENCH_SPECS) + BENCH_SCALE.n_repetitions,  # + parents
         "jobs": PARALLEL_JOBS,
-        "cpu_count": os.cpu_count(),
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
         "speedup": round(speedup, 3),

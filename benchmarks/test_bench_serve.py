@@ -10,12 +10,19 @@ clock (measured engine time charged to the clock) — then
 - asserts the run's invariants: zero lost requests, bitwise parity of a
   served sample against direct ``engine_for`` calls, and real coalescing
   (mean batch occupancy above one request's worth of rows).
+
+``host`` records what the latencies depend on (CPU count, BLAS, thread
+pins).
+
+    PYTHONPATH=src:. python -m pytest -q -s benchmarks/test_bench_serve.py
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
+from benchmarks.suite.host import fingerprint
 from repro.serve import run_serve_bench
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -24,11 +31,11 @@ SEED = 0
 
 
 def test_bench_serve():
-    report = run_serve_bench(
-        n_requests=N_REQUESTS,
-        seed=SEED,
-        out=REPO_ROOT / "BENCH_serve.json",
-    )
+    report = {
+        "host": fingerprint(),
+        **run_serve_bench(n_requests=N_REQUESTS, seed=SEED),
+    }
+    (REPO_ROOT / "BENCH_serve.json").write_text(json.dumps(report, indent=2) + "\n")
     load = report["load"]
     print()
     print(

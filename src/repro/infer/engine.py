@@ -43,7 +43,6 @@ _PARITY_ATOL = 1e-5
 # element.  The self-check gate is therefore scale-aware:
 # max|got - want| <= atol + rtol * max|want|.
 _PARITY_RTOL = 1e-5
-_AUTOTUNE_CANDIDATES = (32, 64, 128, 256, 512)
 
 
 def _assert_parity(got: np.ndarray, want: np.ndarray, what: str) -> None:
@@ -133,11 +132,7 @@ class InferenceEngine(HeldModel):
         eval/train toggling that any evaluation does (and that is always
         restored, exception or not).
     batch_size:
-        Upper bound on rows per compiled forward.  :meth:`autotune_batch_size`
-        can replace it with a measured optimum.
-    fold_bn:
-        Fold eval-mode BatchNorm into the preceding conv/linear where the
-        normalized value has no other consumer.
+        Upper bound on rows per compiled forward.
     pad:
         Chunk-padding policy.  ``"pow2"`` (default) pads tail chunks to the
         next power of two, bounding compiled shapes at ~log2(batch_size)
@@ -153,21 +148,16 @@ class InferenceEngine(HeldModel):
         self,
         model: Module,
         batch_size: int = 256,
-        fold_bn: bool = True,
         pad: str = "pow2",
     ):
         if pad not in ("pow2", "fixed"):
             raise ValueError(f"pad must be 'pow2' or 'fixed', got {pad!r}")
         self.model = model
         self.batch_size = int(batch_size)
-        self.fold_bn = fold_bn
         self.pad = pad
         # (row_shape, dtype) -> CompiledPlan | None (None: fall back forever)
         self._plans: dict[tuple, CompiledPlan | None] = {}
         self._signature: tuple | None = None
-        # (images shape, candidates) -> best batch size (autotune sweeps are
-        # expensive; repeated calls must not re-run them).
-        self._autotune_cache: dict[tuple, int] = {}
         # Serving-layer seam: called as hook(engine, plan_key, plan) every
         # time a compiled plan is about to serve a chunk (including right
         # after compilation), so an LRU can track recency and budget.
@@ -183,12 +173,10 @@ class InferenceEngine(HeldModel):
         small set of power-of-two sizes before coming here.
         """
         key = (probe.shape, probe.dtype.str)
-        with observe.span(
-            "infer.compile", shape=list(probe.shape), fold_bn=self.fold_bn
-        ):
+        with observe.span("infer.compile", shape=list(probe.shape)):
             try:
                 graph = trace(self.model, probe)
-                plan = CompiledPlan(graph, fold_bn=self.fold_bn)
+                plan = CompiledPlan(graph)
                 plan.refresh(self.model)
                 plan.signature = self._signature
                 # Kernel exactness + dataflow: re-running the probe through
@@ -311,41 +299,6 @@ class InferenceEngine(HeldModel):
         exp = np.exp(shifted)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    def autotune_batch_size(
-        self,
-        images: np.ndarray,
-        candidates: tuple[int, ...] = _AUTOTUNE_CANDIDATES,
-        repeats: int = 2,
-    ) -> int:
-        """Measure throughput per candidate batch size and adopt the best.
-
-        The sweep is memoized per ``(images.shape, candidates)``: the first
-        call times every candidate, later calls re-adopt the cached winner
-        without re-running the sweep (a serving layer autotunes on every
-        registration, often with the same probe shape).
-        """
-        arr = _coerce_batch(images)
-        memo_key = (arr.shape, tuple(candidates))
-        cached = self._autotune_cache.get(memo_key)
-        if cached is not None:
-            self.batch_size = cached
-            return cached
-        best, best_rate = self.batch_size, 0.0
-        for candidate in candidates:
-            if candidate > arr.shape[0]:
-                continue
-            rate = 0.0
-            for _ in range(repeats):
-                start = time.perf_counter()
-                self.logits(arr, batch_size=candidate)
-                rate = max(rate, arr.shape[0] / (time.perf_counter() - start))
-            if rate > best_rate:
-                best, best_rate = candidate, rate
-        observe.event("infer.autotune", batch_size=best, images_per_s=best_rate)
-        self._autotune_cache[memo_key] = best
-        self.batch_size = best
-        return best
-
     def compiled_for(self, images: np.ndarray) -> bool:
         """True if a validated plan exists for this batch (after padding)."""
         arr = _coerce_batch(images)
@@ -405,7 +358,7 @@ def adopt_engine(engine: InferenceEngine) -> InferenceEngine:
     """Install ``engine`` as the shared :func:`engine_for` engine of its model.
 
     The serving registry builds engines with non-default settings
-    (``pad="fixed"``, a tuned batch size) and adopts them so every other
+    (``pad="fixed"``, its own batch size) and adopts them so every other
     consumer of the same model — including differential parity checks —
     routes through the identical plans.  Like every shared engine it then
     holds its model weakly, so the caller keeps the model alive.

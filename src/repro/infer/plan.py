@@ -533,7 +533,7 @@ def _runtime_flags(nodes: list[Node], input_index: int) -> list[bool]:
     return runtime
 
 
-def _rewrite_batch_norm(graph: Graph, fold_bn: bool) -> tuple[list[Node], int]:
+def _rewrite_batch_norm(graph: Graph) -> tuple[list[Node], int]:
     """Lower every ``batch_norm`` node; returns (nodes, n_folded).
 
     Folding requires the normalized conv/linear output to have no other
@@ -562,8 +562,7 @@ def _rewrite_batch_norm(graph: Graph, fold_bn: bool) -> tuple[list[Node], int]:
         producer = nodes[xi]
         scale = append(Node("bn_scale", (gi, vi), {"eps": node.params["eps"]}))
         can_fold = (
-            fold_bn
-            and producer.op in ("conv2d", "linear")
+            producer.op in ("conv2d", "linear")
             and consumers.get(xi, 0) == 1
             and runtime[xi]
         )
@@ -640,12 +639,12 @@ class CompiledPlan:
     and are only recomputed by :meth:`refresh`.
 
     ``exact=True`` builds a reference plan for differential oracles: convs
-    take the module's own im2col route, BatchNorm stays unrewritten
-    (``fold_bn`` is ignored), and in-place rewrites are disabled, so the
-    plan replays the module's floating-point arithmetic bit for bit.
+    take the module's own im2col route, BatchNorm stays unrewritten, and
+    in-place rewrites are disabled, so the plan replays the module's
+    floating-point arithmetic bit for bit.
     """
 
-    def __init__(self, graph: Graph, fold_bn: bool = True, exact: bool = False):
+    def __init__(self, graph: Graph, exact: bool = False):
         if exact:
             # Reference mode keeps batch_norm nodes as traced; the rewrite's
             # x·scale + shift form is algebraically equal but rounds
@@ -653,7 +652,7 @@ class CompiledPlan:
             nodes = [Node(n.op, n.inputs, dict(n.params)) for n in graph.nodes]
             self.n_folded = 0
         else:
-            nodes, self.n_folded = _rewrite_batch_norm(graph, fold_bn)
+            nodes, self.n_folded = _rewrite_batch_norm(graph)
         order = _toposort(nodes, [graph.output])
         if graph.input not in order:
             raise CompileError("plan output does not depend on the input")

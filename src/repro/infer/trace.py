@@ -159,12 +159,6 @@ class _Tracer:
                 index = self._leaf(
                     "param", self.param_names[id(value)], shape=value.shape
                 )
-            elif id(value.data) in self.buffer_names:
-                # e.g. masked_weight wraps the raw mask buffer in a
-                # fresh Tensor each forward; key on the payload array.
-                index = self._leaf(
-                    "buffer", self.buffer_names[id(value.data)], shape=value.shape
-                )
             else:
                 index = self.emit(
                     "value",

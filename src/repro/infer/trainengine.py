@@ -20,10 +20,11 @@ Correctness machinery:
   ``tests/infer/test_grad_plan.py::test_traced_step_is_the_tape_step``
   holds every registry architecture to that, bitwise;
 - parameters and buffers are bound *live* on every run (SGD mutates them
-  each batch), so there is no constant refresh or content signature; the
-  only cached-plan staleness hazard is mask *topology* — pruning a
-  previously unpruned layer adds a ``weight * mask`` node the old trace
-  lacks — so plans are dropped whenever any layer's mask-active flag flips;
+  each batch), so there is no constant refresh or content signature.
+  Every prunable layer traces ``weight * mask`` whatever its mask, with
+  the mask a live-bound buffer leaf, so a prune between steps changes
+  only leaf values and a plan serves the model across the whole prune →
+  retrain loop;
 - BatchNorm running statistics are updated by the engine after each plan
   run, replaying ``functional.batch_norm``'s in-place arithmetic exactly;
 - the optimizer consumes plan gradients through :meth:`SGD.apply`, which
@@ -107,22 +108,6 @@ def _update_running_stats(buffers: dict, bn_updates: list[dict], stats) -> None:
         rv += momentum * var * (m / max(m - 1, 1))
 
 
-def _mask_signature(model: Module) -> tuple:
-    """Which prunable layers currently have an active mask.
-
-    Mask *values* need no invalidation (the mask buffer is a live-bound
-    leaf), but flipping a layer between masked and unmasked changes the
-    traced graph itself.
-    """
-    from repro.nn.prunable import PrunableWeightMixin
-
-    return tuple(
-        bool(m._mask_active)
-        for m in model.modules()
-        if isinstance(m, PrunableWeightMixin)
-    )
-
-
 class TrainEngine(HeldModel):
     """Compiled training steps for one (model, loss, optimizer) triple.
 
@@ -140,7 +125,6 @@ class TrainEngine(HeldModel):
         self.exact = exact
         # (x shape, x dtype, y shape) -> GradPlan | None (None: tape forever)
         self._plans: dict[tuple, GradPlan | None] = {}
-        self._masks: tuple | None = None
 
     # -------------------------------------------------------------- compile
 
@@ -235,12 +219,6 @@ class TrainEngine(HeldModel):
         if not (train_enabled() and isinstance(self.model, Module)):
             observe.incr("trainc.fallback_batches")
             return self._tape_step(x, y)
-        masks = _mask_signature(self.model)
-        if masks != self._masks:
-            if self._masks is not None and self._plans:
-                self._plans.clear()
-                observe.incr("trainc.mask_invalidations")
-            self._masks = masks
         x = np.asarray(x)
         key = (x.shape, x.dtype.str, np.asarray(y).shape)
         first = self._compile(x, y) if key not in self._plans else None

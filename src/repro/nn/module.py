@@ -127,10 +127,6 @@ class Module:
                     f"shape mismatch for buffer {name}: {value.shape} vs {current.shape}"
                 )
             module.set_buffer(local, value.copy())
-        for module in self.modules():
-            sync = getattr(module, "_sync_mask_state", None)
-            if sync is not None:
-                sync()
 
     # ----------------------------------------------------------------- mode
     def train(self, mode: bool = True) -> "Module":

@@ -21,7 +21,6 @@ class PrunableWeightMixin:
 
     def _init_mask(self) -> None:
         self.register_buffer("weight_mask", np.ones(self.weight.shape, dtype=np.float32))
-        self._mask_active = False
 
     def set_weight_mask(self, mask: np.ndarray) -> None:
         """Install a binary mask and zero the pruned weights in place."""
@@ -34,19 +33,15 @@ class PrunableWeightMixin:
             raise ValueError("mask must be binary")
         self.set_buffer("weight_mask", mask)
         self.weight.data *= mask
-        self._mask_active = bool((mask == 0).any())
 
     def reset_weight_mask(self) -> None:
         """Remove all pruning from this layer."""
         self.set_buffer("weight_mask", np.ones(self.weight.shape, dtype=np.float32))
-        self._mask_active = False
 
     @property
     def masked_weight(self) -> Tensor:
         """The weight with the prune mask applied (graph-connected)."""
-        if self._mask_active:
-            return self.weight * Tensor(self.weight_mask)
-        return self.weight
+        return self.weight * self.weight_mask
 
     @property
     def num_pruned(self) -> int:
@@ -65,7 +60,3 @@ class PrunableWeightMixin:
     @property
     def prune_ratio(self) -> float:
         return self.num_pruned / self.weight_mask.size
-
-    def _sync_mask_state(self) -> None:
-        """Recompute cached mask state (after ``load_state_dict``)."""
-        self._mask_active = bool((self.weight_mask == 0).any())

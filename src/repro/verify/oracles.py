@@ -58,7 +58,7 @@ def oracle_masked_forward(
     """Pruned-model forward ≡ dense forward with masks baked into weights.
 
     The baked model has every weight pre-multiplied by its mask and the
-    mask reset to all-ones, so its forward never touches a mask buffer.
+    mask reset to all-ones, so its forward multiplies by all-ones masks.
     Both paths multiply by 0.0/1.0 floats, so agreement is exact.
     """
     report = report if report is not None else VerificationReport(subject="model")
@@ -112,7 +112,7 @@ def oracle_plan_parity(
     scale = float(np.abs(want).max())
     try:
         graph = trace(model, inputs)
-        plan = CompiledPlan(graph, fold_bn=False, exact=True)
+        plan = CompiledPlan(graph, exact=True)
         plan.refresh(model)
         diff = float(np.abs(plan.run(inputs) - want).max())
         report.add(

@@ -99,6 +99,25 @@ class TestInvalidation:
         assert not np.allclose(before, after)
         assert_parity(after, module_logits(model, images))
 
+    def test_checkpoint_revived_behind_its_masks_stays_masked(self, images):
+        """A plan compiled on the unpruned parent applies a loaded
+        checkpoint's masks as the module does, even when the checkpoint's
+        masked weights are nonzero: the traced graph does not depend on
+        which masks were active when it was traced."""
+        model = make_tiny_cnn()
+        engine = InferenceEngine(model)
+        engine.logits(images)
+        assert engine.compiled_for(images)
+        pruned = make_tiny_cnn()
+        build_method("wt").prune(pruned, 0.5)
+        state = pruned.state_dict()
+        for name, mask in state.items():
+            if name.endswith("weight_mask"):
+                weight = name[: -len("_mask")]
+                state[weight] = np.where(mask == 0, 0.5, state[weight])
+        model.load_state_dict(state)
+        assert_parity(engine.logits(images), module_logits(model, images))
+
     def test_mutate_then_restore_does_not_serve_stale_constants(self, images):
         """Drift a param in place, restore via load_state_dict (which rebinds
         parameter arrays), and check the plan does not keep serving the
@@ -187,12 +206,6 @@ class TestApi:
         assert probs.shape == (32, 4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
         np.testing.assert_array_equal(probs.argmax(axis=1), preds)
-
-    def test_autotune_adopts_a_candidate(self, images):
-        engine = InferenceEngine(make_tiny_cnn())
-        best = engine.autotune_batch_size(images, candidates=(8, 16), repeats=1)
-        assert best in (8, 16)
-        assert engine.batch_size == best
 
     def test_engine_for_caches_and_passes_through(self):
         model = make_tiny_cnn()

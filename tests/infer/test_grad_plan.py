@@ -11,6 +11,7 @@ from repro.models.registry import available_models, build_model
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.prunable import PrunableWeightMixin
 from repro.optim import SGD
+from repro.pruning import build_method
 from repro.verify import oracle_grad_plan_parity
 from repro.verify.oracles import _registry_probes
 
@@ -295,6 +296,50 @@ def test_failed_validation_falls_back_to_the_tape(batch, monkeypatch):
     tape_loss, tape_logits = tape.step(x, y)
     assert loss == tape_loss
     np.testing.assert_array_equal(logits, tape_logits)
+    want = tape_model.state_dict()
+    for name, value in model.state_dict().items():
+        np.testing.assert_array_equal(value, want[name], err_msg=name)
+
+
+def test_prune_between_steps_keeps_the_plan(batch, monkeypatch):
+    """Every layer traces ``weight * mask`` whatever its mask, so a prune
+    between training steps changes leaf values, not the graph: the plan
+    compiled on the unpruned model keeps serving the retrain, holds the
+    masked weights at zero and steps exactly as the tape does."""
+    x, y = batch
+    builds = []
+    plan_init = GradPlan.__init__
+
+    def counted_init(plan, *args, **kwargs):
+        builds.append(1)
+        plan_init(plan, *args, **kwargs)
+
+    monkeypatch.setattr(GradPlan, "__init__", counted_init)
+
+    def prune_and_retrain(model):
+        engine = TrainEngine(
+            model, CrossEntropyLoss(),
+            SGD(model.parameters(), lr=0.1, momentum=0.9), exact=True,
+        )
+        engine.step(x, y)
+        build_method("wt").prune(model, 0.5)
+        engine.optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
+        for _ in range(3):
+            engine.step(x, y)
+        return engine
+
+    model = make_tiny_cnn()
+    engine = prune_and_retrain(model)
+    assert engine.compiled_for(x, y)
+    assert len(builds) == 1
+    for module in model.modules():
+        if isinstance(module, PrunableWeightMixin):
+            assert module.num_pruned > 0
+            assert module.mask_violations() == 0
+    monkeypatch.setenv("REPRO_TRAINC", "0")
+    tape_model = make_tiny_cnn()
+    prune_and_retrain(tape_model)
+    assert len(builds) == 1
     want = tape_model.state_dict()
     for name, value in model.state_dict().items():
         np.testing.assert_array_equal(value, want[name], err_msg=name)

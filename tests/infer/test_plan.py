@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.autograd import functional as F
 from repro.infer import CompiledPlan, trace
 from repro.infer.plan import _conv_per_offset, _k_conv2d, _k_conv2d_exact
 
@@ -30,7 +31,7 @@ class TestBnFolding:
     def test_folds_into_conv_and_matches_module(self, images, rng):
         model = make_tiny_cnn()
         randomize_bn_stats(model, rng)
-        plan = CompiledPlan(trace(model, images), fold_bn=True)
+        plan = CompiledPlan(trace(model, images))
         plan.refresh(model)
         # All three BNs sit directly on a single-consumer conv: folded away.
         assert plan.n_folded == 3
@@ -47,18 +48,10 @@ class TestBnFolding:
             nn.Linear(4, 2, rng=rng),
         )
         randomize_bn_stats(model, rng)
-        plan = CompiledPlan(trace(model, images), fold_bn=True)
+        plan = CompiledPlan(trace(model, images))
         plan.refresh(model)
         assert plan.n_folded == 0
         assert plan.op_counts.get("bn_affine") == 1
-        assert_parity(plan.run(images), module_logits(model, images))
-
-    def test_fold_disabled_keeps_affine_path(self, images, rng):
-        model = make_tiny_cnn()
-        randomize_bn_stats(model, rng)
-        plan = CompiledPlan(trace(model, images), fold_bn=False)
-        plan.refresh(model)
-        assert plan.n_folded == 0
         assert_parity(plan.run(images), module_logits(model, images))
 
 
@@ -66,7 +59,7 @@ class TestExactMode:
     def test_exact_plan_is_bit_identical_to_module(self, images, rng):
         model = make_tiny_cnn()
         randomize_bn_stats(model, rng)
-        plan = CompiledPlan(trace(model, images), fold_bn=False, exact=True)
+        plan = CompiledPlan(trace(model, images), exact=True)
         plan.refresh(model)
         np.testing.assert_array_equal(plan.run(images), module_logits(model, images))
 
@@ -137,8 +130,10 @@ class TestConvKernel:
 
 
 class TiedConvs(nn.Module):
-    """One unmasked weight read by two convs in a chain: its constant slot
-    has two users, so each narrowed copy must get a slot of its own."""
+    """One weight read by two functional convs in a chain: its constant
+    slot has two users, so each narrowed copy must get a slot of its own.
+    (Two ``self.conv(x)`` calls would not share it: each call traces its
+    own ``weight * mask`` product.)"""
 
     def __init__(self, rng):
         super().__init__()
@@ -147,8 +142,8 @@ class TiedConvs(nn.Module):
         self.fc = nn.Linear(6, 3, rng=rng)
 
     def forward(self, x):
-        x = self.conv(x).relu()
-        x = self.conv(x).relu()
+        for _ in range(2):
+            x = F.conv2d(x, self.conv.weight, self.conv.bias, padding=1).relu()
         return self.fc(self.pool(x))
 
 

@@ -114,17 +114,23 @@ class TestStateDict:
             net.load_state_dict(state)
 
     def test_mask_state_resynced_on_load(self):
-        net = small_net()
+        # A loaded mask governs the forward on its own: weights revived
+        # behind it in the state dict change nothing.
+        net = small_net().eval()
         conv = net[0]
         mask = np.ones_like(conv.weight_mask)
         mask[0] = 0
         conv.set_weight_mask(mask)
         state = net.state_dict()
+        state["0.weight"][0] = 0.5
 
-        fresh = small_net()
+        fresh = small_net().eval()
         fresh.load_state_dict(state)
-        assert fresh[0]._mask_active
         assert fresh[0].num_pruned == conv.num_pruned
+        x = Tensor(
+            np.random.default_rng(1).standard_normal((2, 3, 5, 5)).astype(np.float32)
+        )
+        np.testing.assert_array_equal(fresh(x).data, net(x).data)
 
 
 class TestPreserveState:

@@ -7,6 +7,11 @@ from repro import nn
 from repro.autograd import Tensor
 
 
+def assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 class TestMaskInstall:
     def test_initial_mask_all_ones(self):
         conv = nn.Conv2d(2, 3, 3)
@@ -41,7 +46,7 @@ class TestMaskInstall:
         layer.set_weight_mask(mask)
         layer.reset_weight_mask()
         assert layer.num_pruned == 0
-        assert not layer._mask_active
+        assert_bitwise_equal(layer.masked_weight.data, layer.weight.data)
 
 
 class TestMaskForwardBackward:
@@ -79,5 +84,6 @@ class TestMaskForwardBackward:
         assert (layer.weight.data[0, 1:] != 0).all()
 
     def test_no_mask_forward_uses_raw_weight(self, rng):
+        # An all-ones mask multiplies every weight by 1.0: bitwise the weight.
         layer = nn.Linear(2, 2, bias=False, rng=rng)
-        assert layer.masked_weight is layer.weight  # fast path when unpruned
+        assert_bitwise_equal(layer.masked_weight.data, layer.weight.data)

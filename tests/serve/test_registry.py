@@ -1,8 +1,7 @@
 """Registry tests: keys, warm engines, and the plan LRU under a byte budget.
 
-Also holds the two engine regression tests this PR fixed in passing: the
-autotune sweep is memoized per input shape, and a warm plan held by the
-serving layer re-densifies after ``load_state_dict`` (staleness).
+Also holds an engine regression test: a warm plan held by the serving
+layer re-densifies after ``load_state_dict`` (staleness).
 """
 
 from __future__ import annotations
@@ -148,31 +147,6 @@ class TestPlanLRU:
         assert stats["plan_memory_bytes"] == registry.plan_memory_bytes()
         assert stats["memory_budget_bytes"] == 1 << 30
         assert stats["evictions"] == 0
-
-
-class TestAutotuneMemoization:
-    def test_sweep_runs_once_per_shape(self, registry, rng):
-        """Regression: repeated autotune calls must not re-time the sweep."""
-        engine = registry.engine("cnn0/wt@0.5")
-        images = images_for(rng, rows=64)
-        calls = []
-        original = engine.logits
-        engine.logits = lambda *a, **kw: (calls.append(1), original(*a, **kw))[1]
-        first = engine.autotune_batch_size(images, candidates=(16, 32, 64))
-        sweep_calls = len(calls)
-        assert sweep_calls > 0
-        second = engine.autotune_batch_size(images, candidates=(16, 32, 64))
-        assert second == first == engine.batch_size
-        assert len(calls) == sweep_calls  # cached: zero new timing runs
-
-    def test_distinct_shapes_and_candidates_sweep_separately(self, registry, rng):
-        engine = registry.engine("cnn0/wt@0.5")
-        engine.autotune_batch_size(images_for(rng, rows=32), candidates=(16, 32))
-        assert len(engine._autotune_cache) == 1
-        engine.autotune_batch_size(images_for(rng, rows=64), candidates=(16, 32))
-        assert len(engine._autotune_cache) == 2
-        engine.autotune_batch_size(images_for(rng, rows=64), candidates=(16,))
-        assert len(engine._autotune_cache) == 3
 
 
 class TestPlanStaleness:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.prunable import PrunableWeightMixin
 from repro.pruning import build_method
 from repro.pruning.mask import prunable_layers, structured_prunable_layers
 from repro.verify import (
@@ -118,14 +119,16 @@ class TestStructuredShapePropagation:
             "structured_shape_propagation[" in r.name for r in report.results
         ), "expected at least one chain to be checked"
 
-    def test_stale_mask_cache_detected(self, structured_cnn, rng):
-        # weight_mask says channels are dead, but a stale _mask_active flag
-        # makes forward use the raw weights: propagation must notice.
+    def test_stale_mask_cache_detected(self, structured_cnn, rng, monkeypatch):
+        # weight_mask says channels are dead, but a forward that skips the
+        # mask uses the raw weights: propagation must notice.
         model, _ = structured_cnn
         for _, layer in structured_prunable_layers(model):
             if layer.num_pruned:
                 layer.weight.data += 0.1  # desync weights from masks
-                layer._mask_active = False
+        monkeypatch.setattr(
+            PrunableWeightMixin, "masked_weight", property(lambda self: self.weight)
+        )
         probe = rng.standard_normal((2, *INPUT_SHAPE)).astype(np.float32)
         report = check_structured_shape_propagation(model, probe)
         assert not report.passed

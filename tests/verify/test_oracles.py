@@ -5,6 +5,7 @@ import pytest
 
 from repro.experiments import SMOKE, ZooSpec
 from repro.models.registry import available_models
+from repro.nn.prunable import PrunableWeightMixin
 from repro.pruning import build_method
 from repro.pruning.mask import prunable_layers
 from repro.verify import (
@@ -40,15 +41,17 @@ class TestMaskedForwardOracle:
         report = oracle_masked_forward(model, probe)
         assert report.passed
 
-    def test_stale_mask_cache_detected(self, rng):
-        # Weights revived behind the mask *and* the mask flag cleared: the
-        # live forward no longer matches the mask-baked forward.
+    def test_stale_mask_cache_detected(self, rng, monkeypatch):
+        # Weights revived behind the mask *and* a forward that skips the
+        # mask: the live forward no longer matches the mask-baked forward.
         model = make_tiny_cnn()
         build_method("wt").prune(model, 0.5)
         for _, layer in prunable_layers(model):
             if layer.num_pruned:
                 layer.weight.data += 0.5
-                layer._mask_active = False
+        monkeypatch.setattr(
+            PrunableWeightMixin, "masked_weight", property(lambda self: self.weight)
+        )
         probe = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         report = oracle_masked_forward(model, probe)
         assert not report.passed
