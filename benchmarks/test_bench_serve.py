@@ -9,7 +9,9 @@ clock (measured engine time charged to the clock) — then
   histogram,
 - asserts the run's invariants: zero lost requests, bitwise parity of a
   served sample against direct ``engine_for`` calls, and real coalescing
-  (mean batch occupancy above one request's worth of rows).
+  (mean batch occupancy above one request's worth of rows),
+- records, per (model, row shape), the row buckets licensed to serve and
+  the resident plans with their constant bytes (``buckets``).
 
 ``host`` records what the latencies depend on (CPU count, BLAS, thread
 pins).
@@ -47,6 +49,15 @@ def test_bench_serve():
         f"shed {load['shed']}, missed {load['deadline_miss']}, "
         f"parity {'ok' if report['parity']['bitwise_equal'] else 'FAILED'}"
     )
+    for key, shapes in report["buckets"].items():
+        for shape, plans in shapes.items():
+            print(
+                f"  {key} {shape}: licensed rows {plans['licensed_rows']}, "
+                f"{plans['resident_plans']} plans, {plans['plan_bytes'] / 1024:.0f} KB"
+            )
+            # Only licensed buckets keep plans; the full width always serves.
+            assert report["batch_size"] in plans["licensed_rows"]
+            assert 1 <= plans["resident_plans"] <= len(plans["licensed_rows"])
 
     assert load["lost"] == 0, "every request must reach a terminal state"
     assert load["errors"] == 0

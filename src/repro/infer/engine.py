@@ -12,6 +12,8 @@ Correctness machinery:
 - every compiled plan is validated at compile time against the module's
   own forward (trace-sample parity + an independent probe batch, plus a
   row-independence check that licenses batch padding);
+- under ``pad="fixed"`` a plan narrower than the batch size serves only
+  once its output matches the full-width plan's bitwise;
 - constants are refreshed whenever the model's *state signature* — an
   adler32 over every parameter and buffer — changes, so in-place SGD
   updates and new masks invalidate the cache without version counters;
@@ -136,12 +138,20 @@ class InferenceEngine(HeldModel):
     pad:
         Chunk-padding policy.  ``"pow2"`` (default) pads tail chunks to the
         next power of two, bounding compiled shapes at ~log2(batch_size)
-        per sweep.  ``"fixed"`` pads *every* chunk to ``batch_size``, so
-        one plan serves all batch occupancies — the serving layer uses it
-        because identical plans make a coalesced batch's per-row outputs
-        bitwise equal to the same rows served one request at a time
-        (different plan shapes route through different BLAS blockings and
-        round differently).
+        per sweep.  ``"fixed"`` pads each chunk to the smallest
+        power-of-two row bucket (capped at ``batch_size``) whose plan is
+        *licensed*: on a fixed-seed probe, its output equals the first
+        rows of the ``batch_size`` plan's output bitwise.  Plans of
+        different row counts may take different BLAS kernels and round
+        differently (a one-row GEMM can become a GEMV), so only a checked
+        bucket may serve; the others send their chunks one bucket up.
+        Every row then comes out bitwise as the full-width plan computes
+        it, which is what makes a coalesced batch's per-row outputs equal
+        to the same rows served one request at a time — the serving
+        layer relies on it.  The ``batch_size`` bucket is licensed by
+        definition; the others are checked the first time they serve a
+        row shape and dtype under a model state signature, and again
+        after the signature changes.
     """
 
     def __init__(
@@ -158,9 +168,13 @@ class InferenceEngine(HeldModel):
         # (row_shape, dtype) -> CompiledPlan | None (None: fall back forever)
         self._plans: dict[tuple, CompiledPlan | None] = {}
         self._signature: tuple | None = None
+        # pad="fixed": (batch size, bucket plan key) -> license verdict
+        # under ``_signature``; cleared when the signature changes.
+        self._licenses: dict[tuple, bool] = {}
         # Serving-layer seam: called as hook(engine, plan_key, plan) every
         # time a compiled plan is about to serve a chunk (including right
-        # after compilation), so an LRU can track recency and budget.
+        # after compilation, and the full-width plan's license probes), so
+        # an LRU can track recency and budget.
         self.plan_used_hook = None
 
     # -------------------------------------------------------------- compile
@@ -212,26 +226,69 @@ class InferenceEngine(HeldModel):
         self._plans[key] = plan
         return plan
 
-    def _plan_for(self, chunk: np.ndarray) -> CompiledPlan | None:
+    def _resident(self, chunk: np.ndarray) -> CompiledPlan | None:
+        """The plan for ``chunk``'s shape, compiled or refreshed as needed."""
         key = (chunk.shape, chunk.dtype.str)
         if key not in self._plans:
-            plan = self._compile(chunk)
-        else:
-            plan = self._plans[key]
-            if plan is not None and plan.signature != self._signature:
-                plan.refresh(self.model)
-                plan.signature = self._signature
-                observe.incr("infer.refreshes")
-        hook = self.plan_used_hook
-        if plan is not None and hook is not None:
-            hook(self, key, plan)
+            return self._compile(chunk)
+        plan = self._plans[key]
+        if plan is not None and plan.signature != self._signature:
+            plan.refresh(self.model)
+            plan.signature = self._signature
+            observe.incr("infer.refreshes")
         return plan
 
-    def _chunk_rows(self, n: int, batch_size: int) -> int:
-        """Rows the padded chunk will occupy under this engine's pad policy."""
-        if self.pad == "fixed":
-            return batch_size
-        return _pad_to(n, batch_size)
+    def _plan_for(self, chunk: np.ndarray) -> CompiledPlan | None:
+        plan = self._resident(chunk)
+        hook = self.plan_used_hook
+        if plan is not None and hook is not None:
+            hook(self, (chunk.shape, chunk.dtype.str), plan)
+        return plan
+
+    def _license(self, key: tuple, batch_size: int) -> bool:
+        """Whether the bucket plan under ``key`` may serve: its output on a
+        fixed-seed probe must equal the first rows of the ``batch_size``
+        plan's output on the same probe, bitwise.
+
+        The full-width plan runs first, through the hook like any plan
+        that serves, so the bucket plan is fetched after any eviction that
+        causes.  A plan compiled for a check it fails is dropped: a bucket
+        that fails its first check keeps no plan and never reaches the
+        hook.  A plan that served under an earlier state and fails now
+        stays resident, where the hook's owner, which tracks it, may
+        evict it.
+        """
+        shape, dtype = key
+        rng = np.random.default_rng(0)
+        probe = rng.standard_normal((batch_size,) + shape[1:]).astype(dtype)
+        full = self._plan_for(probe)
+        if full is None:
+            return False
+        want = full.run(probe)[: shape[0]]
+        served_before = self._plans.get(key) is not None
+        plan = self._resident(probe[: shape[0]])
+        if plan is not None and np.array_equal(plan.run(probe[: shape[0]]), want):
+            return True
+        if plan is not None and not served_before:
+            del self._plans[key]
+        observe.event("infer.unlicensed", shape=list(shape))
+        return False
+
+    def _chunk_rows(self, chunk: np.ndarray, batch_size: int, check: bool = True) -> int:
+        """Rows the padded chunk will occupy under this engine's pad policy.
+
+        Under ``pad="fixed"`` a bucket without a license verdict is checked
+        now, or, with ``check`` off, passed over.
+        """
+        rows = _pad_to(chunk.shape[0], batch_size)
+        while self.pad == "fixed" and rows < batch_size:
+            license_key = (batch_size, ((rows,) + chunk.shape[1:], chunk.dtype.str))
+            if license_key not in self._licenses and check:
+                self._licenses[license_key] = self._license(license_key[1], batch_size)
+            if self._licenses.get(license_key):
+                break
+            rows = min(2 * rows, batch_size)
+        return rows
 
     # ------------------------------------------------------------- fallback
 
@@ -256,7 +313,10 @@ class InferenceEngine(HeldModel):
         # signature need the real parameter/buffer API.
         use_plans = enabled() and isinstance(self.model, Module)
         if use_plans:
-            self._signature = _state_signature(self.model)
+            signature = _state_signature(self.model)
+            if signature != self._signature:
+                self._licenses.clear()
+            self._signature = signature
         outputs = []
         start = time.perf_counter()
         for lo in range(0, arr.shape[0], bs):
@@ -266,8 +326,8 @@ class InferenceEngine(HeldModel):
                 # Pad every chunk up to a power of two (capped at the batch
                 # size) so a sweep of batch sizes — BackSelect's shrinking
                 # candidate sets — compiles O(log bs) plans, not one each.
-                # (pad="fixed" pads straight to the batch size instead.)
-                rows = self._chunk_rows(chunk.shape[0], bs)
+                # (pad="fixed" takes the smallest licensed such bucket.)
+                rows = self._chunk_rows(chunk, bs)
                 if rows != chunk.shape[0]:
                     padded = np.zeros((rows,) + chunk.shape[1:], dtype=chunk.dtype)
                     padded[: chunk.shape[0]] = chunk
@@ -300,10 +360,28 @@ class InferenceEngine(HeldModel):
         return exp / exp.sum(axis=1, keepdims=True)
 
     def compiled_for(self, images: np.ndarray) -> bool:
-        """True if a validated plan exists for this batch (after padding)."""
-        arr = _coerce_batch(images)
-        rows = self._chunk_rows(arr.shape[0], self.batch_size)
-        return self._plans.get(((rows,) + arr.shape[1:], arr.dtype.str)) is not None
+        """True if a validated plan exists for this batch's first chunk.
+
+        The chunk's bucket is resolved as :meth:`logits` would resolve it,
+        except that under ``pad="fixed"`` a bucket not yet licensed under
+        the last state signature seen counts as unlicensed: this query
+        compiles and checks nothing.
+        """
+        chunk = _coerce_batch(images)[: self.batch_size]
+        rows = self._chunk_rows(chunk, self.batch_size, check=False)
+        return self._plans.get(((rows,) + chunk.shape[1:], chunk.dtype.str)) is not None
+
+    def licensed_buckets(self, row_shape: tuple, dtype=np.float32) -> list[int]:
+        """Row counts of the buckets licensed for ``row_shape`` at this
+        engine's batch size under the last state signature seen; the
+        ``batch_size`` bucket is always one."""
+        row_shape, dtype = tuple(row_shape), np.dtype(dtype).str
+        licensed = {
+            shape[0]
+            for (bs, (shape, dt)), ok in self._licenses.items()
+            if ok and bs == self.batch_size and shape[1:] == row_shape and dt == dtype
+        }
+        return sorted(licensed | {self.batch_size})
 
     # ----------------------------------------------------- plan bookkeeping
 
@@ -324,7 +402,8 @@ class InferenceEngine(HeldModel):
 
         The next batch of that shape recompiles from scratch; fallback
         markers are left in place so a known-untraceable shape never
-        re-attempts compilation because of memory pressure.
+        re-attempts compilation because of memory pressure, and so is a
+        bucket's license: the recompiled plan is the same plan.
         """
         if self._plans.get(key) is None:
             return False

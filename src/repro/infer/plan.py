@@ -26,8 +26,9 @@ Compilation passes, in order:
 :meth:`CompiledPlan.refresh` re-resolves ``param``/``buffer`` leaves *by
 name* from the live model (``load_state_dict`` and ``set_buffer`` rebind
 the underlying arrays, so identity capture would go stale), re-evaluates
-every constant node and reapplies the live-width pass.  The engine calls
-it whenever the model's state signature changes.
+every constant node, reapplies the live-width pass and then keeps only
+the constant slots a runtime step reads.  The engine calls it whenever
+the model's state signature changes.
 """
 
 from __future__ import annotations
@@ -634,9 +635,9 @@ def _live_width_walks(
 class CompiledPlan:
     """An executable eval-mode forward for one input shape/dtype.
 
-    ``run`` streams one batch through the runtime steps; all constants
-    (densified masked weights, folded BN tensors) live in the slot table
-    and are only recomputed by :meth:`refresh`.
+    ``run`` streams one batch through the runtime steps; the constants
+    they read (densified masked weights, folded BN tensors) live in the
+    slot table and are only recomputed by :meth:`refresh`.
 
     ``exact=True`` builds a reference plan for differential oracles: convs
     take the module's own im2col route, BatchNorm stays unrewritten, and
@@ -679,6 +680,16 @@ class CompiledPlan:
         self._steps = self._full_steps
         self._runtime_slots = runtime_steps
         self._slots: list = [None] * len(nodes)
+        # Constant slots a runtime step reads, directly or through constant
+        # views: :meth:`refresh` copies the leaves among them, and only those.
+        reached = [j for i in runtime_steps for j in nodes[i].inputs if not runtime[j]]
+        self._step_read: set[int] = set()
+        while reached:
+            j = reached.pop()
+            if j not in self._step_read:
+                self._step_read.add(j)
+                if nodes[j].op in _VIEW_OPS:
+                    reached.extend(nodes[j].inputs)
         # Live-width pass (fast plans only; :meth:`_narrow` applies it).
         self._walks = [] if exact else _live_width_walks(
             nodes, runtime_steps, runtime, graph.output
@@ -705,9 +716,10 @@ class CompiledPlan:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the constant slots (densified weights, folded
-        BN tensors) after the last :meth:`refresh` — the number a serving
-        layer's plan-memory budget accounts against."""
+        """Resident bytes of the constant slots runtime steps read
+        (densified weights, folded BN tensors) after the last
+        :meth:`refresh` — the number a serving layer's plan-memory budget
+        accounts against."""
         total = 0
         spares = range(len(self._nodes), len(self._slots))
         for i in (*self._const_order, *spares):
@@ -717,16 +729,22 @@ class CompiledPlan:
         return total
 
     def refresh(self, model: Module) -> None:
-        """Recompute every constant slot from ``model``'s current state.
+        """Recompute the constants from ``model``'s current state, and keep
+        only the slots a runtime step reads.
 
-        Leaf slots are *copied*, never aliased: a plan must snapshot the
-        state it was refreshed against.  Aliasing the model's live arrays
-        looks cheaper but breaks under the mutate-then-restore pattern —
-        an in-place update drifts the aliased array, and a later
-        ``load_state_dict`` *rebinds* the model's parameters to fresh
-        arrays with the original contents, so the engine's content
-        signature matches the refresh-time state while the plan still
-        points at the drifted orphans.
+        A leaf a runtime step reads, directly or through a view op, is
+        *copied*, never aliased: a plan must snapshot the state it was
+        refreshed against.  Aliasing the model's live arrays looks cheaper
+        but breaks under the mutate-then-restore pattern — an in-place
+        update drifts the aliased array, and a later ``load_state_dict``
+        *rebinds* the model's parameters to fresh arrays with the original
+        contents, so the engine's content signature matches the
+        refresh-time state while the plan still points at the drifted
+        orphans.  Every other leaf only feeds constant kernels, whose
+        outputs are fresh arrays (``weight * mask``, folded BN), so it is
+        read in place.  Once the live-width pass has run, every constant
+        slot no runtime step reads is set to ``None``: only what a run
+        needs stays resident, and :attr:`nbytes` counts only that.
         """
         params = {name: p.data for name, p in model.named_parameters()}
         buffers = dict(model.named_buffers())
@@ -735,27 +753,34 @@ class CompiledPlan:
             node = self._nodes[i]
             if node.op == "param":
                 try:
-                    slots[i] = params[node.params["name"]].copy()
+                    value = params[node.params["name"]]
                 except KeyError:
                     raise CompileError(
                         f"model has no parameter {node.params['name']!r}"
                     ) from None
             elif node.op == "buffer":
                 try:
-                    slots[i] = np.asarray(buffers[node.params["name"]]).copy()
+                    value = np.asarray(buffers[node.params["name"]])
                 except KeyError:
                     raise CompileError(
                         f"model has no buffer {node.params['name']!r}"
                     ) from None
             elif node.op == "value":
                 value = node.params["value"]
-                slots[i] = value.copy() if isinstance(value, np.ndarray) else value
             else:
                 slots[i] = KERNELS[node.op](
                     [slots[j] for j in node.inputs], node.params
                 )
+                continue
+            if i in self._step_read and isinstance(value, np.ndarray):
+                value = value.copy()
+            slots[i] = value
         if self._walks:
             self._narrow()
+        read = {j for step in self._steps for j in step[1]}
+        for i in self._const_order:
+            if i not in read:
+                slots[i] = None
 
     def _narrow(self) -> None:
         """Dynamic half of the live-width pass, rerun by every refresh.

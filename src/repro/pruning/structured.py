@@ -17,6 +17,7 @@ from repro.nn.conv import Conv2d
 from repro.nn.module import Module
 from repro.pruning.mask import (
     model_prune_ratio,
+    prunable_layers,
     structured_prunable_layers,
     total_prunable_weights,
 )
@@ -56,27 +57,6 @@ def apply_channel_counts(
     return model_prune_ratio(model)
 
 
-def _achieved_ratio(
-    model: Module, counts: Mapping[str, int], costs: Mapping[str, int]
-) -> float:
-    """Predicted weight prune ratio if ``counts`` channels are pruned.
-
-    Counts per structured layer are cumulative; unstructured masks outside
-    structured layers contribute their current pruned weights.
-    """
-    total = total_prunable_weights(model)
-    structured = dict(structured_prunable_layers(model))
-    pruned = sum(counts.get(name, 0) * costs[name] for name in structured)
-    # Weights pruned in layers structured methods cannot touch (carried over
-    # state, e.g. if a mask was loaded) still count toward the ratio.
-    from repro.pruning.mask import prunable_layers
-
-    for name, layer in prunable_layers(model):
-        if name not in structured:
-            pruned += layer.num_pruned
-    return pruned / total
-
-
 def solve_counts_for_target(
     model: Module,
     target_ratio: float,
@@ -92,14 +72,25 @@ def solve_counts_for_target(
     """
     layers = dict(structured_prunable_layers(model))
     costs = {name: channel_weight_cost(layer) for name, layer in layers.items()}
+    total = total_prunable_weights(model)
+    # Weights pruned in layers structured methods cannot touch (carried over
+    # state, e.g. if a mask was loaded) still count toward the ratio.
+    carried = sum(
+        layer.num_pruned for name, layer in prunable_layers(model) if name not in layers
+    )
 
-    if _achieved_ratio(model, counts_at(1.0), costs) < target_ratio:
+    def achieved_ratio(counts: Mapping[str, int]) -> float:
+        """Predicted weight prune ratio if ``counts`` channels are pruned."""
+        pruned = sum(counts.get(name, 0) * cost for name, cost in costs.items())
+        return (pruned + carried) / total
+
+    if achieved_ratio(counts_at(1.0)) < target_ratio:
         return counts_at(1.0)
 
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if _achieved_ratio(model, counts_at(mid), costs) >= target_ratio:
+        if achieved_ratio(counts_at(mid)) >= target_ratio:
             hi = mid
         else:
             lo = mid

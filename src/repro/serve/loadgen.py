@@ -359,6 +359,7 @@ def run_serve_bench(
         },
         "load": report.to_dict(),
         "registry": registry.stats(),
+        "buckets": {key: _bucket_report(registry.engine(key)) for key in keys},
         "parity": parity,
         "safety": {
             key: registry.safety_context(key).to_dict() for key in keys
@@ -367,6 +368,23 @@ def run_serve_bench(
     if out is not None:
         Path(out).write_text(json.dumps(result, indent=2) + "\n")
     return result
+
+
+def _bucket_report(engine) -> dict:
+    """Per row shape: the licensed row buckets, and the resident plans
+    with their constant bytes."""
+    report = {}
+    for shape in BENCH_SHAPES:
+        plans = [
+            nbytes for (plan_shape, _), nbytes in engine.plan_stats().items()
+            if plan_shape[1:] == shape
+        ]
+        report["x".join(map(str, shape))] = {
+            "licensed_rows": engine.licensed_buckets(shape),
+            "resident_plans": len(plans),
+            "plan_bytes": sum(plans),
+        }
+    return report
 
 
 def audit_parity(
@@ -378,8 +396,10 @@ def audit_parity(
     """Bitwise-compare a sample of served responses to direct engine calls.
 
     Uses the model's shared ``engine_for`` engine — the same one the
-    server batched through — so any mismatch means coalescing or padding
-    changed the arithmetic, which the fixed-pad design forbids.
+    server batched through.  A direct call of one request usually pads to
+    a smaller row bucket than the coalesced batch it was served in, so any
+    mismatch means a licensed bucket or the padding changed the
+    arithmetic, which the bucket licenses forbid.
     """
     from repro.infer import engine_for
 

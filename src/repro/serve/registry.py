@@ -11,10 +11,12 @@ staleness is *not* the LRU's problem — the engine's adler32 state
 signature already re-densifies a plan whenever the model's weights
 change (``load_state_dict``, in-place SGD drift).
 
-Engines are built with ``pad="fixed"`` so every batch occupancy of one
-row shape routes through the *same* compiled plan: that is what makes a
-coalesced batch's per-row outputs bitwise equal to serving each request
-alone, and it also caps resident plans at one per (model, row shape).
+Engines are built with ``pad="fixed"``: a batch runs through the
+smallest power-of-two row bucket whose plan is licensed bitwise against
+the full-width plan, so every row comes out as the full-width plan
+computes it.  That is what makes a coalesced batch's per-row outputs
+bitwise equal to serving each request alone, and it caps resident plans
+at ~log2(batch size) per (model, row shape).
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ class ModelZooRegistry:
         which is always retained even if it alone exceeds the budget
         (evicting it would recompile on every request forever).
     batch_size:
-        Default engine batch size (and therefore the fixed pad width) for
-        models registered without an explicit one.
+        Default engine batch size (and therefore the full-width row
+        bucket that licenses the smaller ones) for models registered
+        without an explicit one.
     """
 
     def __init__(
@@ -240,14 +243,16 @@ class ModelZooRegistry:
         row_shapes: list[tuple[int, ...]],
         dtype=np.float32,
     ) -> None:
-        """Pre-compile plans for ``row_shapes`` so first requests hit warm.
+        """Pre-compile the full-width plan of each of ``row_shapes``.
 
-        With fixed padding a one-row probe compiles the full-width plan
-        that will serve every occupancy of that shape.
+        A ``batch_size``-row probe compiles only that plan, which is
+        licensed by definition.  Smaller buckets compile and are licensed
+        against it when traffic first needs them, so set-up pays for one
+        plan per shape.
         """
         engine = self.engine(key)
         for shape in row_shapes:
-            probe = np.zeros((1,) + tuple(shape), dtype=dtype)
+            probe = np.zeros((engine.batch_size,) + tuple(shape), dtype=dtype)
             engine.logits(probe)
 
     def stats(self) -> dict:

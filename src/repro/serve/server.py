@@ -3,9 +3,12 @@
 :class:`PruneServer` joins the pieces: requests enter a bounded
 :class:`~repro.serve.batcher.DynamicBatcher`, flush as coalesced batches
 into the registry's warm fixed-pad engines, and resolve into
-:class:`~repro.serve.batcher.PendingResponse` handles.  Engine faults are
-retried with the resilience layer's seeded backoff and, past the budget,
-contained to the failing batch — the queue keeps draining.
+:class:`~repro.serve.batcher.PendingResponse` handles.  Each batch runs
+through the smallest row bucket licensed bitwise against the full-width
+plan, so a response does not depend on what its request was coalesced
+with.  Engine faults are retried with the resilience layer's seeded
+backoff and, past the budget, contained to the failing batch — the queue
+keeps draining.
 
 Two drive modes share every line of policy code:
 

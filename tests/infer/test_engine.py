@@ -69,6 +69,21 @@ class TestParity:
         assert len([p for p in engine._plans.values() if p is not None]) == 1
         assert_parity(engine.logits(images), module_logits(engine.model, images))
 
+    def test_fixed_pad_chunk_takes_the_smallest_licensed_bucket(self, images):
+        """A 3-row chunk runs through a plan narrower than the batch size
+        whenever that bucket's plan matches the 8-row plan bitwise, and its
+        rows come out exactly as the 8-row plan computes them."""
+        engine = InferenceEngine(make_tiny_cnn(), batch_size=8, pad="fixed")
+        served = []
+        engine.plan_used_hook = lambda eng, key, plan: served.append(key[0][0])
+        got = engine.logits(images[:3])
+        licensed = engine.licensed_buckets(images.shape[1:])
+        assert served[-1] == min(rows for rows in licensed if rows >= 3)
+        if 4 in licensed:
+            assert served[-1] == 4 and ((4, 3, 8, 8), "<f4") in engine.plan_stats()
+        np.testing.assert_array_equal(got, engine.logits(images[:8])[:3])
+        assert served[-1] == 8
+
     def test_train_mode_untouched_and_eval_stats_used(self, images):
         model = make_tiny_cnn()
         want = module_logits(model, images)  # eval-mode running stats

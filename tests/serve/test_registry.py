@@ -1,4 +1,5 @@
-"""Registry tests: keys, warm engines, and the plan LRU under a byte budget.
+"""Registry tests: keys, warm engines, the plan LRU under a byte budget,
+and the row-bucket licenses of served engines.
 
 Also holds an engine regression test: a warm plan held by the serving
 layer re-densifies after ``load_state_dict`` (staleness).
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.infer import engine_for
+from repro.infer import plan as plan_module
+from repro.pruning import build_method
 from repro.serve import ModelKey, ModelZooRegistry, as_model_key
 from tests.conftest import make_tiny_cnn
 from tests.serve.conftest import ROW_SHAPE, images_for, make_registry, make_server
@@ -70,11 +73,15 @@ class TestRegistryEntries:
     def test_warm_precompiles_the_fixed_width_plan(self, registry, rng):
         registry.warm("cnn0/wt@0.5", [ROW_SHAPE])
         engine = registry.engine("cnn0/wt@0.5")
-        # Fixed padding: the 1-row probe compiled the full-width plan that
-        # serves every occupancy of this shape.
+        # Warm compiles the full-width plan only; smaller buckets are
+        # licensed against it on first traffic, so none is checked yet
+        # and every occupancy resolves to the full-width plan for now.
+        full_key = ((8,) + ROW_SHAPE, "<f4")
+        assert list(engine.plan_stats()) == [full_key]
+        assert registry.resident_plans() == [("cnn0/wt@0.5", full_key)]
+        assert engine.licensed_buckets(ROW_SHAPE) == [8]
         assert engine.compiled_for(images_for(rng, rows=1))
-        assert engine.compiled_for(images_for(rng, rows=5))
-        assert len(registry.resident_plans()) == 1
+        assert engine.compiled_for(images_for(rng, rows=8))
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -94,8 +101,9 @@ class TestPlanLRU:
         assert [k for k, _ in registry.resident_plans()] == [
             "cnn0/wt@0.5", "cnn1/wt@0.5",
         ]
-        # Serving cnn0 again moves it to most-recent.
-        registry.engine("cnn0/wt@0.5").logits(images_for(rng))
+        # Serving cnn0 again (a full-width batch: its warm plan) moves it
+        # to most-recent.
+        registry.engine("cnn0/wt@0.5").logits(images_for(rng, rows=8))
         assert [k for k, _ in registry.resident_plans()] == [
             "cnn1/wt@0.5", "cnn0/wt@0.5",
         ]
@@ -112,7 +120,7 @@ class TestPlanLRU:
         ]
         assert registry.plan_memory_bytes() <= 2 * one_plan
         # The evicted model recompiles transparently on next use...
-        registry.engine("cnn0/wt@0.5").logits(images_for(rng))
+        registry.engine("cnn0/wt@0.5").logits(images_for(rng, rows=8))
         # ...and now cnn1 is the victim.
         assert registry.evictions == 2
         assert [k for k, _ in registry.resident_plans()] == [
@@ -126,8 +134,9 @@ class TestPlanLRU:
         registry.warm("cnn0/wt@0.5", [ROW_SHAPE])
         assert len(registry.resident_plans()) == 1
         assert registry.evictions == 0
-        registry.engine("cnn0/wt@0.5").logits(images_for(rng))
+        registry.engine("cnn0/wt@0.5").logits(images_for(rng, rows=8))
         assert len(registry.resident_plans()) == 1
+        assert registry.evictions == 0
 
     def test_eviction_drops_the_engine_plan_too(self, rng):
         one_plan = self.plan_bytes()
@@ -138,12 +147,16 @@ class TestPlanLRU:
         assert not engine0.compiled_for(images_for(rng))
         assert sum(engine0.plan_stats().values()) == 0
 
-    def test_stats_snapshot(self):
+    def test_stats_snapshot(self, rng):
         registry = make_registry(n_models=2, memory_budget_bytes=1 << 30)
         registry.warm("cnn0/wt@0.5", [ROW_SHAPE])
+        # A 3-row batch may add a licensed bucket plan beside the warm one.
+        registry.engine("cnn0/wt@0.5").logits(images_for(rng, rows=3))
         stats = registry.stats()
+        engine = registry.engine("cnn0/wt@0.5")
         assert stats["models"] == 2
-        assert stats["resident_plans"] == 1
+        assert stats["resident_plans"] == len(engine.plan_stats())
+        assert stats["plan_memory_bytes"] == sum(engine.plan_stats().values())
         assert stats["plan_memory_bytes"] == registry.plan_memory_bytes()
         assert stats["memory_budget_bytes"] == 1 << 30
         assert stats["evictions"] == 0
@@ -169,3 +182,103 @@ class TestPlanStaleness:
         np.testing.assert_array_equal(
             after, engine_for(registry.model(key)).logits(images)
         )
+
+
+class TestBucketLicense:
+    """Only buckets licensed bitwise against the full-width plan serve."""
+
+    def test_unlicensed_bucket_keeps_no_plan_and_serves_one_up(self, rng, monkeypatch):
+        linear = plan_module.KERNELS["linear"]
+
+        def one_row_rounds_differently(args, params):
+            out = linear(args, params)
+            return np.nextafter(out, np.inf) if out.shape[0] == 1 else out
+
+        monkeypatch.setitem(plan_module.KERNELS, "linear", one_row_rounds_differently)
+        registry = make_registry(n_models=1)
+        server = make_server(registry)
+        key = "cnn0/wt@0.5"
+        engine = registry.engine(key)
+        image = images_for(rng, rows=1)
+        got = server.predict_logits(key, image)
+
+        one_row = ((1,) + ROW_SHAPE, "<f4")
+        licensed = engine.licensed_buckets(ROW_SHAPE)
+        assert 1 not in licensed
+        assert one_row not in engine.plan_stats()
+        assert one_row not in [plan_key for _, plan_key in registry.resident_plans()]
+        # The most recent plan is the one that served: the next bucket up.
+        assert registry.resident_plans()[-1][1][0][0] == min(licensed)
+        batch = np.concatenate([image, images_for(rng, rows=7)])
+        np.testing.assert_array_equal(got, engine.logits(batch)[:1])
+
+    def test_bucket_that_loses_its_license_stays_tracked(self, rng, monkeypatch):
+        """A bucket licensed under one state and refused under the next
+        stops serving, and its plan stays resident in the engine exactly
+        as long as the registry tracks it."""
+        linear = plan_module.KERNELS["linear"]
+        drift = {"on": False}
+
+        def buckets_drift(args, params):
+            out = linear(args, params)
+            return np.nextafter(out, np.inf) if drift["on"] and out.shape[0] < 8 else out
+
+        monkeypatch.setitem(plan_module.KERNELS, "linear", buckets_drift)
+        registry = make_registry(n_models=1)
+        server = make_server(registry)
+        key = "cnn0/wt@0.5"
+        engine = registry.engine(key)
+        server.predict_logits(key, images_for(rng, rows=3))
+        bucket = registry.resident_plans()[-1][1]
+        assert bucket[0][0] == min(b for b in engine.licensed_buckets(ROW_SHAPE) if b >= 3)
+        if bucket[0][0] == 8:
+            pytest.skip("no bucket below the full width matches it on this BLAS")
+
+        drift["on"] = True
+        donor = make_tiny_cnn(seed=21)
+        registry.model(key).load_state_dict(donor.state_dict())
+        images = images_for(rng, rows=3)
+        got = server.predict_logits(key, images)
+        assert engine.licensed_buckets(ROW_SHAPE) == [8]
+        assert registry.resident_plans()[-1][1][0][0] == 8
+        assert bucket in engine.plan_stats()
+        assert {plan_key for _, plan_key in registry.resident_plans()} == set(
+            engine.plan_stats()
+        )
+        padded = np.concatenate([images, images_for(rng, rows=5)])
+        np.testing.assert_array_equal(got, engine.logits(padded)[:3])
+
+    def test_every_bucket_matches_full_width_across_a_state_change(self, rng):
+        """Load a WT-70% state into a served WT-50% model: licenses are
+        rechecked under the new state, and every bucket still answers
+        bitwise as the 8-row plan does."""
+        model = make_tiny_cnn(seed=5)
+        build_method("wt").prune(model, 0.5)
+        registry = ModelZooRegistry(batch_size=8)
+        key = "cnn/wt@0.5"
+        registry.register(key, model)
+        server = make_server(registry)
+        engine = registry.engine(key)
+        served = []
+        hook = engine.plan_used_hook
+
+        def spy(eng, plan_key, plan):
+            served.append(plan_key[0][0])
+            hook(eng, plan_key, plan)
+
+        engine.plan_used_hook = spy
+        donor = make_tiny_cnn(seed=6)
+        build_method("wt").prune(donor, 0.7)
+        for state in (None, donor.state_dict()):
+            if state is not None:
+                model.load_state_dict(state)
+            buckets = set()
+            for rows in range(1, 9):
+                images = images_for(rng, rows=rows)
+                got = server.predict_logits(key, images)
+                licensed = engine.licensed_buckets(ROW_SHAPE)
+                assert served[-1] == min(b for b in licensed if b >= rows)
+                buckets.add(served[-1])
+                padded = np.concatenate([images, images_for(rng, rows=8 - rows)])
+                np.testing.assert_array_equal(got, engine.logits(padded)[:rows])
+            assert buckets == set(engine.licensed_buckets(ROW_SHAPE))

@@ -234,8 +234,9 @@ class TestLedger:
         assert rollup["occupancy_mean"] == pytest.approx(
             18 / len(batch_spans)
         )
-        # plan compiles tracked through the registry hook
-        assert rollup["plan_compiles"] == 2
+        # plan compiles tracked through the registry hook: each plan that
+        # served (full-width or licensed bucket) once, nothing evicted
+        assert rollup["plan_compiles"] == len(registry.resident_plans()) >= 2
         assert "serve" in report.to_dict()
         assert "serve:" in report.render()
 

@@ -49,8 +49,9 @@ class TestSoak:
         # Mixed traffic actually coalesced across four (model, shape) groups.
         assert report.batches < 400
         assert report.occupancy_max > 1
-        # Bitwise parity for EVERY served response, not a sample: the
-        # fixed-pad design means coalescing never changes the arithmetic.
+        # Bitwise parity for EVERY served response, not a sample: every
+        # licensed row bucket computes a row as the full-width plan does,
+        # so coalescing never changes the arithmetic.
         served = 0
         for arrival, images, response in records:
             if response.status != "ok":
