@@ -11,7 +11,7 @@ clock (measured engine time charged to the clock) — then
   served sample against direct ``engine_for`` calls, and real coalescing
   (mean batch occupancy above one request's worth of rows),
 - records, per (model, row shape), the row buckets licensed to serve and
-  the resident plans with their constant bytes (``buckets``).
+  the one resident plan with its constant bytes (``buckets``).
 
 ``host`` records what the latencies depend on (CPU count, BLAS, thread
 pins).
@@ -55,9 +55,10 @@ def test_bench_serve():
                 f"  {key} {shape}: licensed rows {plans['licensed_rows']}, "
                 f"{plans['resident_plans']} plans, {plans['plan_bytes'] / 1024:.0f} KB"
             )
-            # Only licensed buckets keep plans; the full width always serves.
+            # One plan per (model, row shape) serves every licensed
+            # bucket; the full width always serves.
             assert report["batch_size"] in plans["licensed_rows"]
-            assert 1 <= plans["resident_plans"] <= len(plans["licensed_rows"])
+            assert plans["resident_plans"] == 1
 
     assert load["lost"] == 0, "every request must reach a terminal state"
     assert load["errors"] == 0

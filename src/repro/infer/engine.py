@@ -2,18 +2,21 @@
 
 :func:`engine_for` is the seam every eval-heavy consumer goes through.
 It returns a cached :class:`InferenceEngine` for a model; the engine
-traces the model's eval forward once per input shape, compiles it into a
-flat numpy plan (BN folded, masked weights densified), and falls back to
-the plain ``Module`` forward whenever the model cannot be traced, a
-compiled plan fails its self-check, or ``REPRO_INFER=0`` opts out.
+traces the model's eval forward once per row shape, compiles it into a
+flat numpy plan (BN folded, masked weights densified) that runs at any
+row count, and falls back to the plain ``Module`` forward whenever the
+model cannot be traced, a compiled plan fails its self-check, or
+``REPRO_INFER=0`` opts out.
 
 Correctness machinery:
 
-- every compiled plan is validated at compile time against the module's
-  own forward (trace-sample parity + an independent probe batch, plus a
-  row-independence check that licenses batch padding);
-- under ``pad="fixed"`` a plan narrower than the batch size serves only
-  once its output matches the full-width plan's bitwise;
+- before it serves, every compiled plan must, on its trace probe,
+  reproduce the module's traced output (scale-aware bound), keep its
+  first and last rows bitwise independent of the others (licensing
+  padding and coalescing), and reproduce the first row run alone, so
+  that it may serve any row count;
+- under ``pad="fixed"`` a row count below the batch size serves only
+  once its rows match the full-width run's bitwise;
 - constants are refreshed whenever the model's *state signature* — an
   adler32 over every parameter and buffer — changes, so in-place SGD
   updates and new masks invalidate the cache without version counters;
@@ -48,6 +51,8 @@ _PARITY_RTOL = 1e-5
 
 
 def _assert_parity(got: np.ndarray, want: np.ndarray, what: str) -> None:
+    if got.shape != want.shape:
+        raise CompileError(f"{what}: output shape {got.shape} != {want.shape}")
     diff = float(np.abs(got - want).max())
     bound = _PARITY_ATOL + _PARITY_RTOL * float(np.abs(want).max())
     if not diff <= bound:  # NaNs compare false and fall through here
@@ -86,9 +91,9 @@ def _coerce_batch(images: np.ndarray) -> np.ndarray:
 def _pad_to(n: int, batch_size: int) -> int:
     """Smallest power-of-two chunk (capped at ``batch_size``) holding n rows.
 
-    Padding tail chunks up to a power of two bounds the number of distinct
-    compiled shapes per model at ~log2(batch_size) even when callers (e.g.
-    BackSelect's shrinking candidate sets) sweep through every batch size.
+    Padding tail chunks up to a power of two bounds the row counts a plan
+    runs at (its GEMM shapes and conv scratch) at ~log2(batch_size) even
+    when callers (e.g. BackSelect's shrinking candidate sets) sweep every size.
     """
     size = 1
     while size < n:
@@ -134,24 +139,23 @@ class InferenceEngine(HeldModel):
         eval/train toggling that any evaluation does (and that is always
         restored, exception or not).
     batch_size:
-        Upper bound on rows per compiled forward.
+        Upper bound on rows per plan run.
     pad:
-        Chunk-padding policy.  ``"pow2"`` (default) pads tail chunks to the
-        next power of two, bounding compiled shapes at ~log2(batch_size)
-        per sweep.  ``"fixed"`` pads each chunk to the smallest
-        power-of-two row bucket (capped at ``batch_size``) whose plan is
-        *licensed*: on a fixed-seed probe, its output equals the first
-        rows of the ``batch_size`` plan's output bitwise.  Plans of
-        different row counts may take different BLAS kernels and round
-        differently (a one-row GEMM can become a GEMV), so only a checked
-        bucket may serve; the others send their chunks one bucket up.
-        Every row then comes out bitwise as the full-width plan computes
-        it, which is what makes a coalesced batch's per-row outputs equal
-        to the same rows served one request at a time — the serving
-        layer relies on it.  The ``batch_size`` bucket is licensed by
-        definition; the others are checked the first time they serve a
-        row shape and dtype under a model state signature, and again
-        after the signature changes.
+        Chunk-padding policy.  One plan per row shape and dtype serves
+        every row count; ``"pow2"`` (default) pads tail chunks to the next
+        power of two.  ``"fixed"`` pads each chunk to the smallest
+        power-of-two row bucket (capped at ``batch_size``) that is
+        *licensed*: on a fixed-seed probe, the plan's output at that row
+        count equals the first rows of its ``batch_size``-row output
+        bitwise.  GEMMs of different row counts may take different BLAS
+        kernels and round differently (a one-row GEMM can become a GEMV),
+        so only a checked bucket may serve; the others send their chunks
+        one bucket up.  Every row then comes out bitwise as the full-width
+        run computes it, which is what makes a coalesced batch's per-row
+        outputs equal to the same rows served one request at a time — the
+        serving layer relies on it.  The ``batch_size`` bucket is licensed
+        by definition; the others are checked, by two runs of the plan,
+        the first time they serve under a model state signature.
     """
 
     def __init__(
@@ -168,25 +172,25 @@ class InferenceEngine(HeldModel):
         # (row_shape, dtype) -> CompiledPlan | None (None: fall back forever)
         self._plans: dict[tuple, CompiledPlan | None] = {}
         self._signature: tuple | None = None
-        # pad="fixed": (batch size, bucket plan key) -> license verdict
-        # under ``_signature``; cleared when the signature changes.
+        # pad="fixed": (batch size, row shape, dtype, rows) -> license
+        # verdict under ``_signature``; cleared when the signature changes.
         self._licenses: dict[tuple, bool] = {}
         # Serving-layer seam: called as hook(engine, plan_key, plan) every
         # time a compiled plan is about to serve a chunk (including right
-        # after compilation, and the full-width plan's license probes), so
-        # an LRU can track recency and budget.
+        # after compilation, and license probes), so an LRU can track
+        # recency and budget.
         self.plan_used_hook = None
 
     # -------------------------------------------------------------- compile
 
-    def _compile(self, probe: np.ndarray) -> CompiledPlan | None:
-        """Trace + compile for ``probe``'s exact shape; None on any mismatch.
+    def _compile(self, chunk: np.ndarray) -> CompiledPlan | None:
+        """Trace + compile for ``chunk``'s row shape; None on any mismatch.
 
-        Plans are shape-specific (traced ``reshape``/``getitem`` bake in
-        the batch dimension), which is why :meth:`logits` pads chunks to a
-        small set of power-of-two sizes before coming here.
+        A 1-row chunk is traced tiled to two rows, so that row independence
+        is always checked.  The plan serves every row count.
         """
-        key = (probe.shape, probe.dtype.str)
+        key = (chunk.shape[1:], chunk.dtype.str)
+        probe = chunk if chunk.shape[0] > 1 else np.concatenate([chunk, chunk])
         with observe.span("infer.compile", shape=list(probe.shape)):
             try:
                 graph = trace(self.model, probe)
@@ -204,19 +208,18 @@ class InferenceEngine(HeldModel):
                 # (any batch-mixing op would couple the rows).  The second
                 # direction matters to the serving layer, which places a
                 # request's rows in the middle of a coalesced batch.
-                if probe.shape[0] > 1:
+                for row, others in ((0, slice(1, None)), (-1, slice(None, -1))):
                     perturbed = probe.copy()
-                    perturbed[1:] = probe[1:] * -3.0 + 1.0
-                    if not np.array_equal(plan.run(perturbed)[0], got[0]):
-                        raise CompileError(
-                            "forward mixes batch rows; padding is unsafe"
-                        )
-                    perturbed = probe.copy()
-                    perturbed[:-1] = probe[:-1] * -3.0 + 1.0
-                    if not np.array_equal(plan.run(perturbed)[-1], got[-1]):
-                        raise CompileError(
-                            "forward mixes batch rows; coalescing is unsafe"
-                        )
+                    perturbed[others] = probe[others] * -3.0 + 1.0
+                    if not np.array_equal(plan.run(perturbed)[row], got[row]):
+                        raise CompileError("forward mixes batch rows")
+                # Row count: a graph that sizes a constant or an index by
+                # the traced batch must not serve other row counts.
+                try:
+                    first = plan.run(probe[:1])
+                except (ValueError, IndexError) as exc:
+                    raise CompileError(f"plan fails at one row: {exc!r}") from exc
+                _assert_parity(first, graph.sample_output[:1], "row-count check")
             except (TraceError, CompileError, AssertionError) as exc:
                 observe.event(
                     "infer.fallback", shape=list(probe.shape), reason=repr(exc)
@@ -226,66 +229,50 @@ class InferenceEngine(HeldModel):
         self._plans[key] = plan
         return plan
 
-    def _resident(self, chunk: np.ndarray) -> CompiledPlan | None:
-        """The plan for ``chunk``'s shape, compiled or refreshed as needed."""
-        key = (chunk.shape, chunk.dtype.str)
-        if key not in self._plans:
-            return self._compile(chunk)
-        plan = self._plans[key]
-        if plan is not None and plan.signature != self._signature:
-            plan.refresh(self.model)
-            plan.signature = self._signature
-            observe.incr("infer.refreshes")
-        return plan
-
     def _plan_for(self, chunk: np.ndarray) -> CompiledPlan | None:
-        plan = self._resident(chunk)
+        """The plan for ``chunk``'s row shape, compiled or refreshed as
+        needed, and reported to the hook."""
+        key = (chunk.shape[1:], chunk.dtype.str)
+        if key not in self._plans:
+            plan = self._compile(chunk)
+        else:
+            plan = self._plans[key]
+            if plan is not None and plan.signature != self._signature:
+                plan.refresh(self.model)
+                plan.signature = self._signature
+                observe.incr("infer.refreshes")
         hook = self.plan_used_hook
         if plan is not None and hook is not None:
-            hook(self, (chunk.shape, chunk.dtype.str), plan)
+            hook(self, key, plan)
         return plan
 
-    def _license(self, key: tuple, batch_size: int) -> bool:
-        """Whether the bucket plan under ``key`` may serve: its output on a
-        fixed-seed probe must equal the first rows of the ``batch_size``
-        plan's output on the same probe, bitwise.
-
-        The full-width plan runs first, through the hook like any plan
-        that serves, so the bucket plan is fetched after any eviction that
-        causes.  A plan compiled for a check it fails is dropped: a bucket
-        that fails its first check keeps no plan and never reaches the
-        hook.  A plan that served under an earlier state and fails now
-        stays resident, where the hook's owner, which tracks it, may
-        evict it.
-        """
-        shape, dtype = key
+    def _license(self, chunk: np.ndarray, rows: int, batch_size: int) -> bool:
+        """Whether ``rows``-row chunks of ``chunk``'s row shape may serve:
+        on a fixed-seed probe, the plan's output at ``rows`` rows must equal
+        the first rows of its output at ``batch_size`` rows, bitwise."""
         rng = np.random.default_rng(0)
-        probe = rng.standard_normal((batch_size,) + shape[1:]).astype(dtype)
-        full = self._plan_for(probe)
-        if full is None:
+        probe = rng.standard_normal((batch_size,) + chunk.shape[1:]).astype(chunk.dtype)
+        plan = self._plan_for(probe)
+        if plan is None:
             return False
-        want = full.run(probe)[: shape[0]]
-        served_before = self._plans.get(key) is not None
-        plan = self._resident(probe[: shape[0]])
-        if plan is not None and np.array_equal(plan.run(probe[: shape[0]]), want):
+        want = plan.run(probe)[:rows]
+        if np.array_equal(plan.run(probe[:rows]), want):
             return True
-        if plan is not None and not served_before:
-            del self._plans[key]
-        observe.event("infer.unlicensed", shape=list(shape))
+        observe.event("infer.unlicensed", shape=[rows, *chunk.shape[1:]])
         return False
 
-    def _chunk_rows(self, chunk: np.ndarray, batch_size: int, check: bool = True) -> int:
+    def _chunk_rows(self, chunk: np.ndarray, batch_size: int) -> int:
         """Rows the padded chunk will occupy under this engine's pad policy.
 
         Under ``pad="fixed"`` a bucket without a license verdict is checked
-        now, or, with ``check`` off, passed over.
+        now.
         """
         rows = _pad_to(chunk.shape[0], batch_size)
         while self.pad == "fixed" and rows < batch_size:
-            license_key = (batch_size, ((rows,) + chunk.shape[1:], chunk.dtype.str))
-            if license_key not in self._licenses and check:
-                self._licenses[license_key] = self._license(license_key[1], batch_size)
-            if self._licenses.get(license_key):
+            key = (batch_size, chunk.shape[1:], chunk.dtype.str, rows)
+            if key not in self._licenses:
+                self._licenses[key] = self._license(chunk, rows, batch_size)
+            if self._licenses[key]:
                 break
             rows = min(2 * rows, batch_size)
         return rows
@@ -325,8 +312,9 @@ class InferenceEngine(HeldModel):
             if use_plans:
                 # Pad every chunk up to a power of two (capped at the batch
                 # size) so a sweep of batch sizes — BackSelect's shrinking
-                # candidate sets — compiles O(log bs) plans, not one each.
-                # (pad="fixed" takes the smallest licensed such bucket.)
+                # candidate sets — runs the plan at O(log bs) row counts,
+                # not one each.  (pad="fixed" takes the smallest licensed
+                # such bucket.)
                 rows = self._chunk_rows(chunk, bs)
                 if rows != chunk.shape[0]:
                     padded = np.zeros((rows,) + chunk.shape[1:], dtype=chunk.dtype)
@@ -360,16 +348,9 @@ class InferenceEngine(HeldModel):
         return exp / exp.sum(axis=1, keepdims=True)
 
     def compiled_for(self, images: np.ndarray) -> bool:
-        """True if a validated plan exists for this batch's first chunk.
-
-        The chunk's bucket is resolved as :meth:`logits` would resolve it,
-        except that under ``pad="fixed"`` a bucket not yet licensed under
-        the last state signature seen counts as unlicensed: this query
-        compiles and checks nothing.
-        """
-        chunk = _coerce_batch(images)[: self.batch_size]
-        rows = self._chunk_rows(chunk, self.batch_size, check=False)
-        return self._plans.get(((rows,) + chunk.shape[1:], chunk.dtype.str)) is not None
+        """True if a validated plan exists for this batch's row shape."""
+        arr = _coerce_batch(images)
+        return self._plans.get((arr.shape[1:], arr.dtype.str)) is not None
 
     def licensed_buckets(self, row_shape: tuple, dtype=np.float32) -> list[int]:
         """Row counts of the buckets licensed for ``row_shape`` at this
@@ -377,19 +358,19 @@ class InferenceEngine(HeldModel):
         ``batch_size`` bucket is always one."""
         row_shape, dtype = tuple(row_shape), np.dtype(dtype).str
         licensed = {
-            shape[0]
-            for (bs, (shape, dt)), ok in self._licenses.items()
-            if ok and bs == self.batch_size and shape[1:] == row_shape and dt == dtype
+            rows
+            for (bs, shape, dt, rows), ok in self._licenses.items()
+            if ok and bs == self.batch_size and shape == row_shape and dt == dtype
         }
         return sorted(licensed | {self.batch_size})
 
     # ----------------------------------------------------- plan bookkeeping
 
     def plan_stats(self) -> dict[tuple, int]:
-        """Resident compiled plans: ``plan_key -> constant bytes``.
+        """Resident compiled plans: ``(row shape, dtype) -> constant bytes``.
 
-        Fallback markers (shapes that failed to compile and are pinned to
-        the module forward) are excluded — there is nothing to evict.
+        Fallback markers (row shapes that failed to compile and are pinned
+        to the module forward) are excluded — there is nothing to evict.
         """
         return {
             key: plan.nbytes
@@ -398,12 +379,13 @@ class InferenceEngine(HeldModel):
         }
 
     def evict_plan(self, key: tuple) -> bool:
-        """Drop the compiled plan under ``key`` (returns whether one existed).
+        """Drop the compiled plan of the ``(row shape, dtype)`` under
+        ``key`` (returns whether one existed).
 
-        The next batch of that shape recompiles from scratch; fallback
-        markers are left in place so a known-untraceable shape never
-        re-attempts compilation because of memory pressure, and so is a
-        bucket's license: the recompiled plan is the same plan.
+        The next batch of that row shape recompiles from scratch; fallback
+        markers are left in place so a known-untraceable row shape never
+        re-attempts compilation because of memory pressure, and so are its
+        row-bucket licenses: the recompiled plan is the same plan.
         """
         if self._plans.get(key) is None:
             return False

@@ -324,9 +324,9 @@ def _k_avg_pool_bwd(args, params):
 
 # -------------------------------------------------------- convolution backward
 # The fast weight gradient reuses the forward conv's persistent padded
-# channel-first scratch (``params["_fwd"]`` points at the forward node's
-# params dict, wired after plan-local node copies are made): at backward
-# time the scratch still holds this batch's padded input, so ``gw`` needs
+# channel-first scratch of its row count (``params["_fwd"]`` is the forward
+# node's params dict, wired after plan-local node copies are made): at
+# backward time it still holds this batch's padded input, so ``gw`` needs
 # no gather at all — one contiguous-view tensordot per kernel offset.
 
 
@@ -336,7 +336,7 @@ def _conv_grad_w(g, x, params):
     n, _, oh, ow = g.shape
     gw = np.empty(params["wshape"], dtype=g.dtype)
     fwd = params.get("_fwd")
-    xp = fwd.get("_scratch") if params.get("_use_shared") and fwd else None
+    xp = fwd.get("_scratch", {}).get(n) if params.get("_use_shared") and fwd else None
     if xp is not None and xp.shape[:2] == (c, n):
         # xp is (c, n, hp, wp), its interior this batch's input (stride 1).
         gt = g.transpose(1, 0, 2, 3)

@@ -1,5 +1,10 @@
 """Compile a traced :class:`~repro.infer.trace.Graph` into a flat numpy plan.
 
+A plan runs at any row count: every runtime kernel reads its row count
+from its input, and a traced ``reshape`` that keeps its leading dimension
+records it as ``-1``.  The engine checks at compile time that a graph
+bakes in no other trace-time row count.
+
 Compilation passes, in order:
 
 1. **BatchNorm rewrite** — every eval-mode ``batch_norm`` node either folds
@@ -170,11 +175,12 @@ def _k_conv2d(args, params):
     - im2col: ``kh·kw`` slice copies out of the scratch build one
       ``(c·kh·kw, n·oh·ow)`` matrix, then one GEMM.
 
-    The padded input (``params["_scratch"]``) persists across runs, border
-    zeroed once; a gradient plan's weight gradient reads it back.  The
-    im2col matrix is allocated per call: kept resident it would cost
-    ``kh·kw`` times the scratch in every conv.  ``params["gather"]``, set
-    by the live-width pass, selects the input channels the weight reads.
+    The padded input persists across runs, one per row count
+    (``params["_scratch"][n]``, border zeroed once), so alternating row
+    counts never reallocate; a gradient plan's weight gradient reads it
+    back.  The im2col matrix is allocated per call: kept resident it would
+    cost ``kh·kw`` times the scratch in every conv.  ``params["gather"]``,
+    set by the live-width pass, selects the input channels the weight reads.
     Every ordering stays within the fold-rounding parity budget; the
     compile self-check validates whichever route a shape takes.
     """
@@ -188,19 +194,19 @@ def _k_conv2d(args, params):
     hp, wp = h + 2 * padding, wi + 2 * padding
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    xp = params.get("_scratch")
+    scratch = params.setdefault("_scratch", {})
+    xp = scratch.get(n)
     if xp is None or xp.shape != (c, n, hp, wp) or xp.dtype != x.dtype:
-        xp = np.zeros((c, n, hp, wp), dtype=x.dtype)
-        params["_scratch"] = xp
+        xp = scratch[n] = np.zeros((c, n, hp, wp), dtype=x.dtype)
     xp[:, :, padding : padding + h, padding : padding + wi] = x.transpose(1, 0, 2, 3)
     cols_bytes = c * kh * kw * n * oh * ow * x.itemsize
     if _conv_per_offset(c, f, hp * wp, oh * ow, stride, kh * kw, cols_bytes):
         # The accumulator is NOT reused: it leaves the kernel as the
         # node's output and may be returned to the caller.
-        tbuf = params.get("_scratch_t")
+        accs = params.setdefault("_scratch_t", {})
+        tbuf = accs.get(n)
         if tbuf is None or tbuf.shape != (f, n * hp * wp) or tbuf.dtype != x.dtype:
-            tbuf = np.empty((f, n * hp * wp), dtype=x.dtype)
-            params["_scratch_t"] = tbuf
+            tbuf = accs[n] = np.empty((f, n * hp * wp), dtype=x.dtype)
         flat = xp.reshape(c, n * hp * wp)
         out = np.zeros((f, n, oh, ow), dtype=x.dtype)
         for dy in range(kh):
@@ -633,7 +639,8 @@ def _live_width_walks(
 
 
 class CompiledPlan:
-    """An executable eval-mode forward for one input shape/dtype.
+    """An executable eval-mode forward for one row shape and dtype, at any
+    row count.
 
     ``run`` streams one batch through the runtime steps; the constants
     they read (densified masked weights, folded BN tensors) live in the
@@ -709,24 +716,14 @@ class CompiledPlan:
         # Set by the engine: the model-state signature the constants were
         # last refreshed against.
         self.signature: object = None
+        # Resident bytes of the constant slots runtime steps read (densified
+        # weights, folded BN tensors), recorded by each :meth:`refresh`:
+        # the number a serving layer's plan-memory budget accounts against.
+        self.nbytes = 0
 
     @property
     def n_steps(self) -> int:
         return len(self._steps)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the constant slots runtime steps read
-        (densified weights, folded BN tensors) after the last
-        :meth:`refresh` — the number a serving layer's plan-memory budget
-        accounts against."""
-        total = 0
-        spares = range(len(self._nodes), len(self._slots))
-        for i in (*self._const_order, *spares):
-            value = self._slots[i]
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-        return total
 
     def refresh(self, model: Module) -> None:
         """Recompute the constants from ``model``'s current state, and keep
@@ -744,7 +741,7 @@ class CompiledPlan:
         outputs are fresh arrays (``weight * mask``, folded BN), so it is
         read in place.  Once the live-width pass has run, every constant
         slot no runtime step reads is set to ``None``: only what a run
-        needs stays resident, and :attr:`nbytes` counts only that.
+        needs stays resident, and :attr:`nbytes` records only that.
         """
         params = {name: p.data for name, p in model.named_parameters()}
         buffers = dict(model.named_buffers())
@@ -781,6 +778,12 @@ class CompiledPlan:
         for i in self._const_order:
             if i not in read:
                 slots[i] = None
+        spares = range(len(self._nodes), len(slots))
+        self.nbytes = sum(
+            slots[i].nbytes
+            for i in (*self._const_order, *spares)
+            if isinstance(slots[i], np.ndarray)
+        )
 
     def _narrow(self) -> None:
         """Dynamic half of the live-width pass, rerun by every refresh.

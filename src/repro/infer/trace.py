@@ -260,7 +260,12 @@ def _patched_attrs(tracer: _Tracer) -> dict[tuple[Any, str], Any]:
 
     def reshape(a, *shape):
         out = orig_reshape(a, *shape)
-        return _record(tracer, "reshape", (a,), {"shape": out.shape}, out)
+        recorded = out.shape
+        if a.ndim and out.ndim and out.shape[0] == a.shape[0] and out.size:
+            # Keeping the leading dimension keeps each row's elements in
+            # that row, so the reshape holds at any row count (Flatten).
+            recorded = (-1,) + out.shape[1:]
+        return _record(tracer, "reshape", (a,), {"shape": recorded}, out)
 
     def transpose(a, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):

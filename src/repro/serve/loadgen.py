@@ -376,8 +376,8 @@ def _bucket_report(engine) -> dict:
     report = {}
     for shape in BENCH_SHAPES:
         plans = [
-            nbytes for (plan_shape, _), nbytes in engine.plan_stats().items()
-            if plan_shape[1:] == shape
+            nbytes for (row_shape, _), nbytes in engine.plan_stats().items()
+            if row_shape == shape
         ]
         report["x".join(map(str, shape))] = {
             "licensed_rows": engine.licensed_buckets(shape),

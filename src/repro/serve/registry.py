@@ -11,12 +11,12 @@ staleness is *not* the LRU's problem — the engine's adler32 state
 signature already re-densifies a plan whenever the model's weights
 change (``load_state_dict``, in-place SGD drift).
 
-Engines are built with ``pad="fixed"``: a batch runs through the
-smallest power-of-two row bucket whose plan is licensed bitwise against
-the full-width plan, so every row comes out as the full-width plan
-computes it.  That is what makes a coalesced batch's per-row outputs
-bitwise equal to serving each request alone, and it caps resident plans
-at ~log2(batch size) per (model, row shape).
+Engines are built with ``pad="fixed"``: a batch pads to the smallest
+power-of-two row bucket licensed bitwise against the full batch width,
+so every row comes out as the full-width run computes it.  That is what
+makes a coalesced batch's per-row outputs bitwise equal to serving each
+request alone.  One plan serves every row count, so the LRU tracks one
+plan per (model, row shape).
 """
 
 from __future__ import annotations
@@ -197,7 +197,8 @@ class ModelZooRegistry:
                 return
             lru_key = (key_str, plan_key)
             known = lru_key in self._lru
-            self._lru[lru_key] = plan.nbytes if not known else self._lru[lru_key]
+            # Re-read on every touch: a refresh may have resized the plan.
+            self._lru[lru_key] = plan.nbytes
             self._lru.move_to_end(lru_key)
             if not known:
                 observe.incr("serve.plan_compiles")
@@ -243,12 +244,11 @@ class ModelZooRegistry:
         row_shapes: list[tuple[int, ...]],
         dtype=np.float32,
     ) -> None:
-        """Pre-compile the full-width plan of each of ``row_shapes``.
+        """Pre-compile the plan of each of ``row_shapes``.
 
-        A ``batch_size``-row probe compiles only that plan, which is
-        licensed by definition.  Smaller buckets compile and are licensed
-        against it when traffic first needs them, so set-up pays for one
-        plan per shape.
+        A ``batch_size``-row probe compiles the plan at the full width,
+        which is licensed by definition.  Smaller row buckets are licensed
+        by traffic that first needs them, which runs that plan twice.
         """
         engine = self.engine(key)
         for shape in row_shapes:

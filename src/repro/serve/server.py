@@ -3,9 +3,9 @@
 :class:`PruneServer` joins the pieces: requests enter a bounded
 :class:`~repro.serve.batcher.DynamicBatcher`, flush as coalesced batches
 into the registry's warm fixed-pad engines, and resolve into
-:class:`~repro.serve.batcher.PendingResponse` handles.  Each batch runs
-through the smallest row bucket licensed bitwise against the full-width
-plan, so a response does not depend on what its request was coalesced
+:class:`~repro.serve.batcher.PendingResponse` handles.  Each batch pads
+to the smallest row bucket licensed bitwise against the full batch
+width, so a response does not depend on what its request was coalesced
 with.  Engine faults are retried with the resilience layer's seeded
 backoff and, past the budget, contained to the failing batch — the queue
 keeps draining.

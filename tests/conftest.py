@@ -65,6 +65,26 @@ def tiny_cnn() -> nn.Module:
     return make_tiny_cnn()
 
 
+@pytest.fixture
+def plan_run_rows(monkeypatch) -> list[int]:
+    """Row count of every ``CompiledPlan.run`` call, in call order.
+
+    One plan serves every row count of a row shape, so after an engine
+    ``logits`` call the last entry is the row bucket that served it.
+    """
+    from repro.infer.plan import CompiledPlan
+
+    rows: list[int] = []
+    run = CompiledPlan.run
+
+    def spy(plan, x):
+        rows.append(x.shape[0])
+        return run(plan, x)
+
+    monkeypatch.setattr(CompiledPlan, "run", spy)
+    return rows
+
+
 def make_tiny_trainer(
     model: nn.Module, suite: TaskSuite, epochs: int = 2, seed: int = 0
 ) -> Trainer:

@@ -9,6 +9,9 @@ import pytest
 from repro import nn
 from repro.autograd import Tensor, no_grad
 from repro.infer import InferenceEngine, adopt_engine, engine_for
+from repro.infer import engine as engine_module
+from repro.infer.plan import CompiledPlan
+from repro.infer.trace import trace
 from repro.models.registry import build_model
 from repro.pruning import build_method
 from repro.pruning.mask import prunable_layers
@@ -40,6 +43,37 @@ class Detour(nn.Module):
         return Tensor(np.tanh(x.data).sum(axis=(2, 3)))
 
 
+class BakesBatch(nn.Module):
+    """Traceable, but adds a constant sized by the batch it runs on."""
+
+    def __init__(self):
+        super().__init__()
+        self.fc = nn.Linear(3 * 8 * 8, 4, rng=np.random.default_rng(0))
+
+    def forward(self, x):
+        row_index = np.arange(x.shape[0], dtype=np.float32).reshape(-1, 1)
+        return self.fc(x.reshape(x.shape[0], -1)) + Tensor(row_index)
+
+
+def engine_compiles(monkeypatch) -> tuple[list, list]:
+    """Spy on the engine: every ``trace`` call and every ``CompiledPlan``
+    it constructs, from now on."""
+    traced, built = [], []
+
+    def counting_trace(model, sample):
+        traced.append(sample.shape)
+        return trace(model, sample)
+
+    class CountedPlan(CompiledPlan):
+        def __init__(self, graph, exact=False):
+            super().__init__(graph, exact)
+            built.append(self)
+
+    monkeypatch.setattr(engine_module, "trace", counting_trace)
+    monkeypatch.setattr(engine_module, "CompiledPlan", CountedPlan)
+    return traced, built
+
+
 @pytest.fixture
 def images(rng):
     return rng.standard_normal((32, 3, 8, 8)).astype(np.float32)
@@ -69,20 +103,49 @@ class TestParity:
         assert len([p for p in engine._plans.values() if p is not None]) == 1
         assert_parity(engine.logits(images), module_logits(engine.model, images))
 
-    def test_fixed_pad_chunk_takes_the_smallest_licensed_bucket(self, images):
-        """A 3-row chunk runs through a plan narrower than the batch size
-        whenever that bucket's plan matches the 8-row plan bitwise, and its
-        rows come out exactly as the 8-row plan computes them."""
+    def test_fixed_pad_chunk_takes_the_smallest_licensed_bucket(
+        self, images, plan_run_rows
+    ):
+        """A 3-row chunk runs at a row count below the batch size whenever
+        that bucket matches the 8-row run bitwise, and its rows come out
+        exactly as the 8-row run computes them."""
         engine = InferenceEngine(make_tiny_cnn(), batch_size=8, pad="fixed")
-        served = []
-        engine.plan_used_hook = lambda eng, key, plan: served.append(key[0][0])
         got = engine.logits(images[:3])
         licensed = engine.licensed_buckets(images.shape[1:])
-        assert served[-1] == min(rows for rows in licensed if rows >= 3)
-        if 4 in licensed:
-            assert served[-1] == 4 and ((4, 3, 8, 8), "<f4") in engine.plan_stats()
+        assert plan_run_rows[-1] == min(rows for rows in licensed if rows >= 3)
+        assert list(engine.plan_stats()) == [((3, 8, 8), "<f4")]
         np.testing.assert_array_equal(got, engine.logits(images[:8])[:3])
-        assert served[-1] == 8
+        assert plan_run_rows[-1] == 8
+
+    def test_row_count_sweep_compiles_one_plan(self, images, monkeypatch):
+        """BackSelect's sweep of shrinking batches compiles one plan, and
+        each bucket's rows are bitwise those of a plan traced and compiled
+        at that bucket's row count."""
+        model = make_tiny_cnn()
+        build_method("ft").prune(model, 0.5)
+        engine = InferenceEngine(model, batch_size=8)
+        _, built = engine_compiles(monkeypatch)
+        for rows in range(8, 0, -1):
+            got = engine.logits(images[:rows])
+            bucket = 1 << (rows - 1).bit_length()
+            padded = np.zeros((bucket,) + images.shape[1:], dtype=images.dtype)
+            padded[:rows] = images[:rows]
+            reference = CompiledPlan(trace(model, padded))
+            reference.refresh(model)
+            np.testing.assert_array_equal(got, reference.run(padded)[:rows])
+        assert len(built) == 1
+
+    def test_fixed_pad_license_traces_and_compiles_nothing(
+        self, images, monkeypatch, plan_run_rows
+    ):
+        engine = InferenceEngine(make_tiny_cnn(), batch_size=8, pad="fixed")
+        engine.logits(images[:8])
+        traced, built = engine_compiles(monkeypatch)
+        del plan_run_rows[:]
+        engine.logits(images[:3])
+        assert traced == [] and built == []
+        # The 4-row license ran the probe at the full width, then at 4 rows.
+        assert plan_run_rows[:2] == [8, 4]
 
     def test_train_mode_untouched_and_eval_stats_used(self, images):
         model = make_tiny_cnn()
@@ -187,6 +250,18 @@ class TestFallback:
         got = engine.logits(images)
         assert not engine.compiled_for(images)
         np.testing.assert_array_equal(got, module_logits(model, images))
+
+    @pytest.mark.parametrize("first_rows", [8, 1])
+    def test_batch_sized_constant_is_refused(self, images, first_rows):
+        """A plan whose graph bakes in the traced batch size fails the
+        compile-time row-count check, so both the traced row count and
+        another one are served as the module computes them."""
+        model = BakesBatch()
+        engine = InferenceEngine(model, batch_size=8)
+        for rows in (first_rows, 3):
+            want = module_logits(model, images[:rows])
+            assert_parity(engine.logits(images[:rows]), want)
+        assert not engine.compiled_for(images)
 
     def test_opt_out_env(self, images, monkeypatch):
         monkeypatch.setenv("REPRO_INFER", "0")

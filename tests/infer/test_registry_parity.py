@@ -33,7 +33,7 @@ class TestRegistryParity:
     @pytest.mark.parametrize("name", available_models())
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("pruned", [False, True])
-    def test_engine_matches_module(self, name, mode, pruned, rng):
+    def test_engine_matches_module(self, name, mode, pruned, rng, plan_run_rows):
         model = build_model(name, rng=np.random.default_rng(3))
         if pruned:
             prune_half(model)
@@ -45,3 +45,6 @@ class TestRegistryParity:
         assert engine.compiled_for(images), f"{name} fell back to module forward"
         assert model.training == (mode == "train")
         assert_parity(got, want)
+        # The plan traced at 4 rows serves 2 rows too.
+        assert_parity(engine.logits(images[:2]), want[:2])
+        assert plan_run_rows[-1] == 2 and len(engine.plan_stats()) == 1

@@ -70,15 +70,16 @@ class TestRegistryEntries:
         assert registry.resident_plans() == []
         registry.unregister("cnn0/wt@0.5")  # idempotent
 
-    def test_warm_precompiles_the_fixed_width_plan(self, registry, rng):
+    def test_warm_precompiles_the_fixed_width_plan(self, registry, rng, plan_run_rows):
         registry.warm("cnn0/wt@0.5", [ROW_SHAPE])
         engine = registry.engine("cnn0/wt@0.5")
-        # Warm compiles the full-width plan only; smaller buckets are
-        # licensed against it on first traffic, so none is checked yet
-        # and every occupancy resolves to the full-width plan for now.
-        full_key = ((8,) + ROW_SHAPE, "<f4")
-        assert list(engine.plan_stats()) == [full_key]
-        assert registry.resident_plans() == [("cnn0/wt@0.5", full_key)]
+        # Warm compiles the row shape's one plan and serves its probe at
+        # the full width; smaller buckets are licensed on first traffic,
+        # so none is checked yet.
+        plan_key = (ROW_SHAPE, "<f4")
+        assert list(engine.plan_stats()) == [plan_key]
+        assert registry.resident_plans() == [("cnn0/wt@0.5", plan_key)]
+        assert plan_run_rows[-1] == 8
         assert engine.licensed_buckets(ROW_SHAPE) == [8]
         assert engine.compiled_for(images_for(rng, rows=1))
         assert engine.compiled_for(images_for(rng, rows=8))
@@ -147,10 +148,45 @@ class TestPlanLRU:
         assert not engine0.compiled_for(images_for(rng))
         assert sum(engine0.plan_stats().values()) == 0
 
+    def test_refreshed_plan_bytes_reach_the_budget(self, rng):
+        """The LRU accounts a plan at its size after the last refresh:
+        loading a dense state into an FT-pruned model widens its plan, and
+        a budget only the widened plan crosses evicts."""
+        dense = make_tiny_cnn(seed=10).state_dict()
+
+        def ft_registry(budget=None):
+            registry = ModelZooRegistry(memory_budget_bytes=budget, batch_size=8)
+            for i in range(2):
+                model = make_tiny_cnn(seed=10 + i)
+                build_method("ft").prune(model, 0.7)
+                registry.register(f"cnn{i}/ft@0.7", model)
+                registry.warm(f"cnn{i}/ft@0.7", [ROW_SHAPE])
+            return registry
+
+        def engine_bytes(registry):
+            return sum(
+                sum(registry.engine(key).plan_stats().values())
+                for key in registry.keys()
+            )
+
+        # The budget fits both narrow plans exactly.
+        registry = ft_registry(budget=ft_registry().plan_memory_bytes())
+        assert registry.evictions == 0
+        pruned = registry.model("cnn0/ft@0.7").state_dict()
+        registry.model("cnn0/ft@0.7").load_state_dict(dense)
+        registry.engine("cnn0/ft@0.7").logits(images_for(rng, rows=8))
+        assert registry.plan_memory_bytes() == engine_bytes(registry)
+        assert registry.evictions == 1
+        assert [k for k, _ in registry.resident_plans()] == ["cnn0/ft@0.7"]
+        # Narrowing is accounted too.
+        registry.model("cnn0/ft@0.7").load_state_dict(pruned)
+        registry.engine("cnn0/ft@0.7").logits(images_for(rng, rows=8))
+        assert registry.plan_memory_bytes() == engine_bytes(registry)
+
     def test_stats_snapshot(self, rng):
         registry = make_registry(n_models=2, memory_budget_bytes=1 << 30)
         registry.warm("cnn0/wt@0.5", [ROW_SHAPE])
-        # A 3-row batch may add a licensed bucket plan beside the warm one.
+        # A 3-row batch licenses a bucket through the warm plan.
         registry.engine("cnn0/wt@0.5").logits(images_for(rng, rows=3))
         stats = registry.stats()
         engine = registry.engine("cnn0/wt@0.5")
@@ -185,9 +221,11 @@ class TestPlanStaleness:
 
 
 class TestBucketLicense:
-    """Only buckets licensed bitwise against the full-width plan serve."""
+    """Only buckets licensed bitwise against the full-width run serve."""
 
-    def test_unlicensed_bucket_keeps_no_plan_and_serves_one_up(self, rng, monkeypatch):
+    def test_unlicensed_bucket_keeps_no_plan_and_serves_one_up(
+        self, rng, monkeypatch, plan_run_rows
+    ):
         linear = plan_module.KERNELS["linear"]
 
         def one_row_rounds_differently(args, params):
@@ -202,20 +240,22 @@ class TestBucketLicense:
         image = images_for(rng, rows=1)
         got = server.predict_logits(key, image)
 
-        one_row = ((1,) + ROW_SHAPE, "<f4")
         licensed = engine.licensed_buckets(ROW_SHAPE)
         assert 1 not in licensed
-        assert one_row not in engine.plan_stats()
-        assert one_row not in [plan_key for _, plan_key in registry.resident_plans()]
-        # The most recent plan is the one that served: the next bucket up.
-        assert registry.resident_plans()[-1][1][0][0] == min(licensed)
+        # The row shape's one plan served, at the next bucket up.
+        plan_key = (ROW_SHAPE, "<f4")
+        assert list(engine.plan_stats()) == [plan_key]
+        assert registry.resident_plans() == [("cnn0/wt@0.5", plan_key)]
+        assert plan_run_rows[-1] == min(licensed)
         batch = np.concatenate([image, images_for(rng, rows=7)])
         np.testing.assert_array_equal(got, engine.logits(batch)[:1])
 
-    def test_bucket_that_loses_its_license_stays_tracked(self, rng, monkeypatch):
+    def test_bucket_that_loses_its_license_stays_tracked(
+        self, rng, monkeypatch, plan_run_rows
+    ):
         """A bucket licensed under one state and refused under the next
-        stops serving, and its plan stays resident in the engine exactly
-        as long as the registry tracks it."""
+        stops serving, its rows come out as the 8-row run computes them,
+        and the registry tracks exactly the engine's resident plans."""
         linear = plan_module.KERNELS["linear"]
         drift = {"on": False}
 
@@ -229,9 +269,9 @@ class TestBucketLicense:
         key = "cnn0/wt@0.5"
         engine = registry.engine(key)
         server.predict_logits(key, images_for(rng, rows=3))
-        bucket = registry.resident_plans()[-1][1]
-        assert bucket[0][0] == min(b for b in engine.licensed_buckets(ROW_SHAPE) if b >= 3)
-        if bucket[0][0] == 8:
+        bucket = plan_run_rows[-1]
+        assert bucket == min(b for b in engine.licensed_buckets(ROW_SHAPE) if b >= 3)
+        if bucket == 8:
             pytest.skip("no bucket below the full width matches it on this BLAS")
 
         drift["on"] = True
@@ -240,15 +280,16 @@ class TestBucketLicense:
         images = images_for(rng, rows=3)
         got = server.predict_logits(key, images)
         assert engine.licensed_buckets(ROW_SHAPE) == [8]
-        assert registry.resident_plans()[-1][1][0][0] == 8
-        assert bucket in engine.plan_stats()
+        assert plan_run_rows[-1] == 8
         assert {plan_key for _, plan_key in registry.resident_plans()} == set(
             engine.plan_stats()
         )
         padded = np.concatenate([images, images_for(rng, rows=5)])
         np.testing.assert_array_equal(got, engine.logits(padded)[:3])
 
-    def test_every_bucket_matches_full_width_across_a_state_change(self, rng):
+    def test_every_bucket_matches_full_width_across_a_state_change(
+        self, rng, plan_run_rows
+    ):
         """Load a WT-70% state into a served WT-50% model: licenses are
         rechecked under the new state, and every bucket still answers
         bitwise as the 8-row plan does."""
@@ -259,14 +300,6 @@ class TestBucketLicense:
         registry.register(key, model)
         server = make_server(registry)
         engine = registry.engine(key)
-        served = []
-        hook = engine.plan_used_hook
-
-        def spy(eng, plan_key, plan):
-            served.append(plan_key[0][0])
-            hook(eng, plan_key, plan)
-
-        engine.plan_used_hook = spy
         donor = make_tiny_cnn(seed=6)
         build_method("wt").prune(donor, 0.7)
         for state in (None, donor.state_dict()):
@@ -277,8 +310,9 @@ class TestBucketLicense:
                 images = images_for(rng, rows=rows)
                 got = server.predict_logits(key, images)
                 licensed = engine.licensed_buckets(ROW_SHAPE)
-                assert served[-1] == min(b for b in licensed if b >= rows)
-                buckets.add(served[-1])
+                assert plan_run_rows[-1] == min(b for b in licensed if b >= rows)
+                buckets.add(plan_run_rows[-1])
                 padded = np.concatenate([images, images_for(rng, rows=8 - rows)])
                 np.testing.assert_array_equal(got, engine.logits(padded)[:rows])
             assert buckets == set(engine.licensed_buckets(ROW_SHAPE))
+            assert list(engine.plan_stats()) == [(ROW_SHAPE, "<f4")]

@@ -50,7 +50,7 @@ class TestSoak:
         assert report.batches < 400
         assert report.occupancy_max > 1
         # Bitwise parity for EVERY served response, not a sample: every
-        # licensed row bucket computes a row as the full-width plan does,
+        # licensed row bucket computes a row as the full-width run does,
         # so coalescing never changes the arithmetic.
         served = 0
         for arrival, images, response in records:
