@@ -11,7 +11,8 @@ clock (measured engine time charged to the clock) — then
   served sample against direct ``engine_for`` calls, and real coalescing
   (mean batch occupancy above one request's worth of rows),
 - records, per (model, row shape), the row buckets licensed to serve and
-  the one resident plan with its constant bytes (``buckets``).
+  the one resident plan with its resident bytes, constants and conv
+  scratch (``buckets``).
 
 ``host`` records what the latencies depend on (CPU count, BLAS, thread
 pins).

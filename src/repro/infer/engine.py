@@ -173,8 +173,11 @@ class InferenceEngine(HeldModel):
         self._plans: dict[tuple, CompiledPlan | None] = {}
         self._signature: tuple | None = None
         # pad="fixed": (batch size, row shape, dtype, rows) -> license
-        # verdict under ``_signature``; cleared when the signature changes.
+        # verdict under ``_signature``, and (batch size, row shape, dtype)
+        # -> the full-width probe output every such verdict compares
+        # against; both cleared when the signature changes.
         self._licenses: dict[tuple, bool] = {}
+        self._probe_outputs: dict[tuple, np.ndarray] = {}
         # Serving-layer seam: called as hook(engine, plan_key, plan) every
         # time a compiled plan is about to serve a chunk (including right
         # after compilation, and license probes), so an LRU can track
@@ -249,14 +252,17 @@ class InferenceEngine(HeldModel):
     def _license(self, chunk: np.ndarray, rows: int, batch_size: int) -> bool:
         """Whether ``rows``-row chunks of ``chunk``'s row shape may serve:
         on a fixed-seed probe, the plan's output at ``rows`` rows must equal
-        the first rows of its output at ``batch_size`` rows, bitwise."""
+        the first rows of its output at ``batch_size`` rows, bitwise.  The
+        full-width run is made once per row shape and state signature."""
         rng = np.random.default_rng(0)
         probe = rng.standard_normal((batch_size,) + chunk.shape[1:]).astype(chunk.dtype)
         plan = self._plan_for(probe)
         if plan is None:
             return False
-        want = plan.run(probe)[:rows]
-        if np.array_equal(plan.run(probe[:rows]), want):
+        key = (batch_size, chunk.shape[1:], chunk.dtype.str)
+        if key not in self._probe_outputs:
+            self._probe_outputs[key] = plan.run(probe)
+        if np.array_equal(plan.run(probe[:rows]), self._probe_outputs[key][:rows]):
             return True
         observe.event("infer.unlicensed", shape=[rows, *chunk.shape[1:]])
         return False
@@ -303,6 +309,7 @@ class InferenceEngine(HeldModel):
             signature = _state_signature(self.model)
             if signature != self._signature:
                 self._licenses.clear()
+                self._probe_outputs.clear()
             self._signature = signature
         outputs = []
         start = time.perf_counter()
@@ -367,7 +374,8 @@ class InferenceEngine(HeldModel):
     # ----------------------------------------------------- plan bookkeeping
 
     def plan_stats(self) -> dict[tuple, int]:
-        """Resident compiled plans: ``(row shape, dtype) -> constant bytes``.
+        """Resident compiled plans: ``(row shape, dtype) -> resident bytes``
+        (constants and conv scratch, :attr:`CompiledPlan.nbytes`).
 
         Fallback markers (row shapes that failed to compile and are pinned
         to the module forward) are excluded — there is nothing to evict.

@@ -194,19 +194,11 @@ def _k_conv2d(args, params):
     hp, wp = h + 2 * padding, wi + 2 * padding
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    scratch = params.setdefault("_scratch", {})
-    xp = scratch.get(n)
-    if xp is None or xp.shape != (c, n, hp, wp) or xp.dtype != x.dtype:
-        xp = scratch[n] = np.zeros((c, n, hp, wp), dtype=x.dtype)
+    xp, tbuf = _conv_scratch(params, w.shape, n, hp, wp, x.dtype)
     xp[:, :, padding : padding + h, padding : padding + wi] = x.transpose(1, 0, 2, 3)
-    cols_bytes = c * kh * kw * n * oh * ow * x.itemsize
-    if _conv_per_offset(c, f, hp * wp, oh * ow, stride, kh * kw, cols_bytes):
+    if tbuf is not None:
         # The accumulator is NOT reused: it leaves the kernel as the
         # node's output and may be returned to the caller.
-        accs = params.setdefault("_scratch_t", {})
-        tbuf = accs.get(n)
-        if tbuf is None or tbuf.shape != (f, n * hp * wp) or tbuf.dtype != x.dtype:
-            tbuf = accs[n] = np.empty((f, n * hp * wp), dtype=x.dtype)
         flat = xp.reshape(c, n * hp * wp)
         out = np.zeros((f, n, oh, ow), dtype=x.dtype)
         for dy in range(kh):
@@ -228,6 +220,30 @@ def _k_conv2d(args, params):
     if len(args) == 3:
         out += args[2].reshape(f, 1, 1, 1)
     return out.transpose(1, 0, 2, 3)
+
+
+def _conv_scratch(params, wshape, n, hp, wp, dtype):
+    """``(padded input, per-offset GEMM buffer or None)`` of a
+    :func:`_k_conv2d` conv at ``n`` rows, kept in ``params`` per row count
+    and reallocated only when the conv's widths change: the padded input
+    has the weight's input channels; the GEMM buffer, its output channels,
+    and it exists only while the conv takes the per-offset route."""
+    f, c, kh, kw = wshape
+    stride = params["stride"]
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    padded = params.setdefault("_scratch", {})
+    xp = padded.get(n)
+    if xp is None or xp.shape != (c, n, hp, wp) or xp.dtype != dtype:
+        xp = padded[n] = np.zeros((c, n, hp, wp), dtype=dtype)
+    accs = params.setdefault("_scratch_t", {})
+    cols_bytes = c * kh * kw * n * oh * ow * xp.itemsize
+    if not _conv_per_offset(c, f, hp * wp, oh * ow, stride, kh * kw, cols_bytes):
+        accs.pop(n, None)
+        return xp, None
+    tbuf = accs.get(n)
+    if tbuf is None or tbuf.shape != (f, n * hp * wp) or tbuf.dtype != dtype:
+        tbuf = accs[n] = np.empty((f, n * hp * wp), dtype=dtype)
+    return xp, tbuf
 
 
 # glibc serves larger blocks with a fresh mmap on every call (its dynamic
@@ -716,10 +732,14 @@ class CompiledPlan:
         # Set by the engine: the model-state signature the constants were
         # last refreshed against.
         self.signature: object = None
-        # Resident bytes of the constant slots runtime steps read (densified
-        # weights, folded BN tensors), recorded by each :meth:`refresh`:
-        # the number a serving layer's plan-memory budget accounts against.
+        # Resident bytes: the constant slots runtime steps read (densified
+        # weights, folded BN tensors) plus the conv scratch of every row
+        # count run so far, recorded by each :meth:`refresh` and by the
+        # first run at each row count; the number a serving layer's
+        # plan-memory budget accounts against.
         self.nbytes = 0
+        self._const_nbytes = 0
+        self._scratch_rows: set[int] = set()
 
     @property
     def n_steps(self) -> int:
@@ -741,7 +761,10 @@ class CompiledPlan:
         outputs are fresh arrays (``weight * mask``, folded BN), so it is
         read in place.  Once the live-width pass has run, every constant
         slot no runtime step reads is set to ``None``: only what a run
-        needs stays resident, and :attr:`nbytes` records only that.
+        needs stays resident, and :attr:`nbytes` records only that.  Conv
+        scratch is refit to the refreshed widths at every row count it is
+        kept for, so a run at a row count already run never changes
+        :attr:`nbytes`.
         """
         params = {name: p.data for name, p in model.named_parameters()}
         buffers = dict(model.named_buffers())
@@ -779,10 +802,32 @@ class CompiledPlan:
             if i not in read:
                 slots[i] = None
         spares = range(len(self._nodes), len(slots))
-        self.nbytes = sum(
+        self._const_nbytes = sum(
             slots[i].nbytes
             for i in (*self._const_order, *spares)
             if isinstance(slots[i], np.ndarray)
+        )
+        self._fit_scratch()
+        self._count_nbytes()
+
+    def _fit_scratch(self) -> None:
+        """Refit each conv's scratch, at every row count it is kept for, to
+        the conv's current widths (:func:`_conv_scratch`).  A conv whose
+        weight is computed at run time is left to its kernel."""
+        for _, inputs, _, params, *_ in self._steps:
+            padded = params.get("_scratch")
+            w = self._slots[inputs[1]] if padded else None
+            if w is None:
+                continue
+            for n, xp in list(padded.items()):
+                _conv_scratch(params, w.shape, n, *xp.shape[2:], xp.dtype)
+
+    def _count_nbytes(self) -> None:
+        self.nbytes = self._const_nbytes + sum(
+            buf.nbytes
+            for _, _, _, params, *_ in self._steps
+            for key in ("_scratch", "_scratch_t")
+            for buf in params.get(key, {}).values()
         )
 
     def _narrow(self) -> None:
@@ -842,8 +887,13 @@ class CompiledPlan:
         slots[self._input] = x
         try:
             _run_steps(slots, self._steps)
-            return slots[self._output]
+            out = slots[self._output]
         finally:
             slots[self._input] = None
             for i in self._runtime_slots:
                 slots[i] = None
+        if x.shape[0] not in self._scratch_rows:
+            # The first run at a row count allocates its conv scratch.
+            self._scratch_rows.add(x.shape[0])
+            self._count_nbytes()
+        return out

@@ -204,12 +204,14 @@ class TrainEngine(HeldModel):
     # ------------------------------------------------------------- fallback
 
     def _tape_step(self, x: np.ndarray, y: np.ndarray):
-        """The Module/tape loop body, verbatim."""
+        """The Module/tape loop body, verbatim, with the finished tape
+        unlinked so that the step's activations die by refcount."""
         logits = self.model(Tensor(x))
         loss = self.loss_fn(logits, y)
         self.optimizer.zero_grad()
         loss.backward()
         self.optimizer.step()
+        free_tape(loss)
         return float(loss.data), logits.data
 
     # ------------------------------------------------------------------ API

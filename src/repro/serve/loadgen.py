@@ -372,7 +372,7 @@ def run_serve_bench(
 
 def _bucket_report(engine) -> dict:
     """Per row shape: the licensed row buckets, and the resident plans
-    with their constant bytes."""
+    with their resident bytes (constants and conv scratch)."""
     report = {}
     for shape in BENCH_SHAPES:
         plans = [

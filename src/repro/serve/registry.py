@@ -3,13 +3,14 @@
 A serving process holds many variants of the paper's networks at once —
 ``(architecture, prune_method, ratio)`` triples — each behind a warm
 :class:`~repro.infer.InferenceEngine`.  Compiled plans are the expensive
-resident state (densified masked weights, folded BN constants), so the
-registry tracks every plan that serves traffic in one recency list and
-evicts least-recently-used plans whenever their total constant bytes
-exceed the configured budget.  Evicted shapes recompile on next use;
-staleness is *not* the LRU's problem — the engine's adler32 state
-signature already re-densifies a plan whenever the model's weights
-change (``load_state_dict``, in-place SGD drift).
+resident state (densified masked weights, folded BN constants and conv
+scratch per row count), so the registry tracks every plan that serves
+traffic in one recency list and evicts least-recently-used plans
+whenever their total resident bytes exceed the configured budget.
+Evicted shapes recompile on next use; staleness is *not* the LRU's
+problem — the engine's adler32 state signature already re-densifies a
+plan whenever the model's weights change (``load_state_dict``, in-place
+SGD drift).
 
 Engines are built with ``pad="fixed"``: a batch pads to the smallest
 power-of-two row bucket licensed bitwise against the full batch width,
@@ -82,7 +83,8 @@ class ModelZooRegistry:
     Parameters
     ----------
     memory_budget_bytes:
-        Cap on the summed constant bytes of all resident compiled plans
+        Cap on the summed resident bytes (:attr:`CompiledPlan.nbytes`:
+        constants and conv scratch) of all resident compiled plans
         across every registered engine (``None``: unbounded).  When a plan
         touch pushes the total over budget, least-recently-used plans are
         evicted until it fits again — except the plan that just served,
@@ -106,7 +108,7 @@ class ModelZooRegistry:
         self.memory_budget_bytes = memory_budget_bytes
         self.batch_size = int(batch_size)
         self._models: dict[str, RegisteredModel] = {}
-        # (key_str, plan_key) -> constant bytes; order = recency (LRU first).
+        # (key_str, plan_key) -> resident bytes; order = recency (LRU first).
         self._lru: OrderedDict[tuple[str, tuple], int] = OrderedDict()
         self._by_engine: dict[int, str] = {}  # id(engine) -> key_str
         self._lock = threading.RLock()
@@ -197,7 +199,8 @@ class ModelZooRegistry:
                 return
             lru_key = (key_str, plan_key)
             known = lru_key in self._lru
-            # Re-read on every touch: a refresh may have resized the plan.
+            # Re-read on every touch: a refresh or a run at a new row count
+            # may have resized the plan.
             self._lru[lru_key] = plan.nbytes
             self._lru.move_to_end(lru_key)
             if not known:
@@ -227,7 +230,7 @@ class ModelZooRegistry:
             )
 
     def plan_memory_bytes(self) -> int:
-        """Summed constant bytes of every resident tracked plan."""
+        """Summed resident bytes of every tracked plan."""
         with self._lock:
             return sum(self._lru.values())
 

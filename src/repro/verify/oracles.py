@@ -5,7 +5,8 @@ quantity twice through independent code paths and compares:
 
 - masked forward ≡ forward of a model with the masks baked into the
   weights (the mask buffer is bookkeeping, not semantics);
-- save → load round-trips are bit-exact (the cache returns what was put in);
+- save → load round-trips are bit-exact, dtypes included (the cache
+  returns what was put in);
 - a fixed-seed (re)train is deterministic (repetitions differ because of
   seeds, never because of hidden state);
 - ``jobs=1`` and ``jobs=N`` zoo builds produce identical artifacts (the
@@ -31,11 +32,15 @@ from repro.verify.report import VerificationReport
 def state_mismatches(
     a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]
 ) -> list[str]:
-    """Keys on which two state dicts differ (missing, shape, or value)."""
+    """Keys on which two state dicts differ (missing, dtype, shape, or value)."""
     bad = sorted(set(a) ^ set(b))
     for key in sorted(set(a) & set(b)):
         left, right = np.asarray(a[key]), np.asarray(b[key])
-        if left.shape != right.shape or not np.array_equal(left, right):
+        if (
+            left.dtype != right.dtype
+            or left.shape != right.shape
+            or not np.array_equal(left, right)
+        ):
             bad.append(key)
     return bad
 

@@ -117,6 +117,25 @@ class TestParity:
         np.testing.assert_array_equal(got, engine.logits(images[:8])[:3])
         assert plan_run_rows[-1] == 8
 
+    def test_license_probe_runs_full_width_once_per_state(
+        self, images, plan_run_rows
+    ):
+        """Every bucket of a row shape is checked against one full-width
+        probe run: licensing the 1-, 2- and 4-row buckets runs the 8-row
+        probe once, and once more after the model state changes."""
+        model = make_tiny_cnn()
+        engine = InferenceEngine(model, batch_size=8, pad="fixed")
+        engine.logits(images[:8])  # compile the row shape's plan
+        for state in (None, make_tiny_cnn(seed=21).state_dict()):
+            if state is not None:
+                model.load_state_dict(state)
+            del plan_run_rows[:]
+            served = []
+            for rows in (1, 2, 3):
+                engine.logits(images[:rows])
+                served.append(plan_run_rows[-1])
+            assert plan_run_rows.count(8) - served.count(8) == 1
+
     def test_row_count_sweep_compiles_one_plan(self, images, monkeypatch):
         """BackSelect's sweep of shrinking batches compiles one plan, and
         each bucket's rows are bitwise those of a plan traced and compiled

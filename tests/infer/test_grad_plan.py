@@ -1,6 +1,7 @@
 """Compiled gradient plans: tape parity, fused-kernel gradients, registry smoke."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -198,6 +199,32 @@ def test_tape_reference_leaves_no_reference_cycles(batch):
             assert gc.collect() == 0
             trace_training(model, loss_fn, x, y)
             assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_tape_fallback_step_frees_its_tape(batch, monkeypatch):
+    """A step on the tape fallback lets its graph die with the call: the
+    loss it computed is gone once ``step`` returns, without the cyclic
+    garbage collector."""
+    monkeypatch.setenv("REPRO_TRAINC", "0")
+    x, y = batch
+    model = make_tiny_cnn()
+    losses = []
+
+    def loss_fn(logits, targets):
+        loss = CrossEntropyLoss()(logits, targets)
+        losses.append(weakref.ref(loss.data))
+        return loss
+
+    engine = TrainEngine(model, loss_fn, SGD(model.parameters(), lr=0.1))
+    gc.collect()
+    gc.disable()
+    try:
+        engine.step(x, y)
+        assert not engine.compiled_for(x, y)
+        assert losses[0]() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -155,15 +155,16 @@ class TestLiveWidth:
         images = rng.standard_normal((4, 6, 8, 8)).astype(np.float32)
         plan = CompiledPlan(trace(model, images))
         plan.refresh(model)
-        full = plan.nbytes
+        # Constant bytes: ``nbytes`` also counts the conv scratch runs keep.
+        full = plan._const_nbytes
         model.conv.weight.data[:, [1, 4]] = 0.0
         plan.refresh(model)
         assert_parity(plan.run(images), module_logits(model, images))
         # The sliced copies sit in spare slots beside the full weight.
-        assert plan.nbytes > full
+        assert plan._const_nbytes > full
         model.conv.weight.data[:] = rng.standard_normal(model.conv.weight.shape)
         plan.refresh(model)
-        assert plan.nbytes == full
+        assert plan._const_nbytes == full
         assert_parity(plan.run(images), module_logits(model, images))
 
 
@@ -206,3 +207,33 @@ class TestConstantSlots:
         plan.refresh(model)
         state_bytes = sum(value.nbytes for value in model.state_dict().values())
         assert plan.nbytes < state_bytes
+
+
+def test_refresh_refits_scratch_to_new_widths(images):
+    """``nbytes`` is the constants plus the conv scratch a plan holds. A
+    refresh that narrows or widens convs refits their scratch at every row
+    count held, so the runs after it allocate nothing."""
+    model = build_model("resnet20", rng=np.random.default_rng(3))
+    dense = model.state_dict()
+    build_method("ft").prune(model, 0.5)
+    pruned = model.state_dict()
+    plan = CompiledPlan(trace(model, images))
+    plan.refresh(model)
+    plan.run(images)
+    plan.run(images[:1])
+
+    def held() -> int:
+        return plan._const_nbytes + sum(
+            buf.nbytes
+            for step in plan._steps
+            for key in ("_scratch", "_scratch_t")
+            for buf in step[3].get(key, {}).values()
+        )
+
+    for state in (dense, pruned, dense):
+        model.load_state_dict(state)
+        plan.refresh(model)
+        refreshed = plan.nbytes
+        assert_parity(plan.run(images), module_logits(model, images))
+        assert_parity(plan.run(images[:1]), module_logits(model, images[:1]))
+        assert plan.nbytes == refreshed == held()

@@ -183,6 +183,23 @@ class TestPlanLRU:
         registry.engine("cnn0/ft@0.7").logits(images_for(rng, rows=8))
         assert registry.plan_memory_bytes() == engine_bytes(registry)
 
+    def test_new_row_count_scratch_reaches_the_budget(self, registry, rng):
+        """A plan's bytes include the conv scratch of each row count it
+        has run at: a run at a new row count raises them, and the LRU
+        accounts the new size on the plan's next touch."""
+        key = "cnn0/wt@0.5"
+        registry.warm(key, [ROW_SHAPE])
+        engine = registry.engine(key)
+        (warm,) = engine.plan_stats().values()
+        assert registry.plan_memory_bytes() == warm
+        # Warm ran the plan at 8 rows and at 1 (the compile's row-count
+        # check); a 3-row batch runs it at 4, licensing that bucket.
+        engine.logits(images_for(rng, rows=3))
+        (grown,) = engine.plan_stats().values()
+        assert grown > warm
+        engine.logits(images_for(rng, rows=8))  # the next touch
+        assert registry.plan_memory_bytes() == grown
+
     def test_stats_snapshot(self, rng):
         registry = make_registry(n_models=2, memory_budget_bytes=1 << 30)
         registry.warm("cnn0/wt@0.5", [ROW_SHAPE])

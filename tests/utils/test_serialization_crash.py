@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -61,6 +65,33 @@ class TestTryLoad:
         path = tmp_path / "cut.npz"
         save_state(path, {"w": np.arange(100.0)})
         path.write_bytes(path.read_bytes()[:40])
+        assert try_load_state(path) is None
+
+    def test_flipped_blob_byte_returns_none(self, tmp_path):
+        path = save_state(
+            tmp_path / "flip.npz",
+            {"w": np.random.default_rng(0).standard_normal(512).astype(np.float32)},
+        )
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("__blob__.npy")
+        # The member's data follows its local header (30 bytes, the name
+        # and the extra field).
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        start = info.header_offset + 30 + name_len + extra_len
+        raw[start + info.compress_size // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        assert try_load_state(path) is None
+
+    def test_index_entry_past_the_buffer_returns_none(self, tmp_path):
+        path = tmp_path / "overrun.npz"
+        index = [["w", "<f8", [4], 0], ["v", "<f8", [4], 64]]
+        np.savez_compressed(
+            path,
+            __blob__=np.zeros(64, dtype=np.uint8),
+            __index__=np.frombuffer(json.dumps(index).encode(), dtype=np.uint8),
+            __meta__=np.frombuffer(b"{}", dtype=np.uint8),
+        )
         assert try_load_state(path) is None
 
     def test_valid_roundtrip(self, tmp_path):

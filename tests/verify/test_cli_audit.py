@@ -61,6 +61,9 @@ class TestCliAudit:
     def test_fresh_zoo_passes(self, zoo_dir, capsys):
         assert main(["verify", str(zoo_dir)]) == 0
         assert "checks passed" in capsys.readouterr().out
+        # --deep adds a save/load round-trip of every artifact.
+        assert main(["verify", str(zoo_dir), "--deep"]) == 0
+        assert "checks passed" in capsys.readouterr().out
 
     def test_default_path_is_cache_dir(self, zoo_dir, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(zoo_dir))

@@ -32,6 +32,11 @@ class TestStateMismatches:
         b = {"w": np.ones((4, 3)), "b": np.arange(1, 6)}
         assert sorted(state_mismatches(a, b)) == ["b", "extra", "w"]
 
+    def test_dtype_diff(self):
+        a = {"w": np.ones(3, dtype=np.float32), "n": np.arange(3)}
+        b = {"w": np.ones(3, dtype=np.float64), "n": np.arange(3)}
+        assert state_mismatches(a, b) == ["w"]
+
 
 class TestMaskedForwardOracle:
     def test_pruned_model_equivalent(self, rng):
@@ -75,6 +80,23 @@ class TestSaveLoadRoundtrip:
         meta = {"ratio": 0.5, "checkpoints": [{"test_error": 0.1}], "name": "x"}
         report = oracle_save_load_roundtrip(arrays, meta)
         assert report.passed
+
+    def test_dtype_change_fails(self, rng, monkeypatch):
+        """A load that hands float32 arrays back as float64 keeps every
+        value, and still fails the round-trip."""
+        import repro.utils.serialization as serialization
+
+        load = serialization.load_state
+
+        def upcasting_load(path):
+            arrays, meta = load(path)
+            return {k: v.astype(np.float64) for k, v in arrays.items()}, meta
+
+        monkeypatch.setattr(serialization, "load_state", upcasting_load)
+        arrays = {"w": rng.standard_normal((2, 3)).astype(np.float32)}
+        report = oracle_save_load_roundtrip(arrays)
+        assert not report.passed
+        assert report.failures[0].name == "save_load_array_roundtrip"
 
     def test_explicit_path(self, tmp_path, rng):
         arrays = {"w": rng.standard_normal((2, 2))}
