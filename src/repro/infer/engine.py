@@ -20,6 +20,10 @@ Correctness machinery:
 - constants are refreshed whenever the model's *state signature* — an
   adler32 over every parameter and buffer — changes, so in-place SGD
   updates and new masks invalidate the cache without version counters;
+  a sealed model (:meth:`~repro.nn.module.Module.seal`, as every served
+  one is) can change state only by rebinding an array, so while it
+  still holds, read-only, the arrays last hashed, its state is trusted
+  by identity and not hashed again;
 - the fallback path restores ``model.train(...)`` in a ``finally``, so
   an exception mid-eval can never leave a caller's model stuck in eval.
 """
@@ -37,7 +41,7 @@ from repro import observe
 from repro.autograd.tensor import Tensor, no_grad
 from repro.infer.plan import CompiledPlan, CompileError
 from repro.infer.trace import TraceError, trace
-from repro.nn.module import Module
+from repro.nn.module import Module, is_sealed
 
 ENV_VAR = "REPRO_INFER"
 
@@ -64,19 +68,57 @@ def enabled() -> bool:
     return os.environ.get(ENV_VAR, "1").lower() not in ("0", "false", "off")
 
 
-def _state_signature(model: Module) -> tuple:
-    """Cheap content hash of every parameter and buffer.
+def _state_arrays(model: Module) -> list[np.ndarray]:
+    """Every parameter and buffer array of ``model``: each module's
+    parameters, then its buffers, modules breadth first."""
+    arrays = []
+    modules = [model]
+    for module in modules:
+        arrays.extend([param.data for param in module._parameters.values()])
+        arrays.extend(module._buffers.values())
+        modules.extend(module._modules.values())
+    return arrays
+
+
+def _state_signature(model: Module) -> tuple[tuple, list[np.ndarray] | None]:
+    """Content hash of every parameter and buffer, and the arrays hashed
+    if ``model`` is sealed (``None`` if it is not).
 
     Keyed on array *contents* (not object identity or version counters)
     because SGD updates parameters in place and ``set_weight_mask``
-    rewrites buffers the plan has already densified.
+    rewrites buffers the plan has already densified.  A sealed model's
+    arrays cannot change in place (:func:`is_sealed`), so the engine
+    trusts a sealed state by identity (:func:`_holds`) until an array
+    is rebound.  The sealed test rides on this walk and stops at the
+    first unsealed array, so an unsealed model pays next to nothing
+    for it.
     """
+    arrays = _state_arrays(model)
+    sealed = True
     parts = []
-    for name, p in model.named_parameters():
-        parts.append((name, zlib.adler32(np.ascontiguousarray(p.data).tobytes())))
-    for name, b in model.named_buffers():
-        parts.append((name, zlib.adler32(np.ascontiguousarray(b).tobytes())))
-    return tuple(parts)
+    for array in arrays:
+        if sealed and not is_sealed(array):
+            sealed = False
+        parts.append(zlib.adler32(np.ascontiguousarray(array)))
+    return tuple(parts), (arrays if sealed else None)
+
+
+def _holds(model: Module, arrays: list[np.ndarray]) -> bool:
+    """Whether ``model`` still holds exactly ``arrays``, in
+    :func:`_state_arrays` order, each still read-only: then a sealed
+    state signed over ``arrays`` is unchanged."""
+    held = iter(arrays)
+    modules = [model]
+    for module in modules:
+        for param in module._parameters.values():
+            array = param.data
+            if array is not next(held, None) or array.flags.writeable:
+                return False
+        for array in module._buffers.values():
+            if array is not next(held, None) or array.flags.writeable:
+                return False
+        modules.extend(module._modules.values())
+    return next(held, None) is None
 
 
 def _coerce_batch(images: np.ndarray) -> np.ndarray:
@@ -172,6 +214,10 @@ class InferenceEngine(HeldModel):
         # (row_shape, dtype) -> CompiledPlan | None (None: fall back forever)
         self._plans: dict[tuple, CompiledPlan | None] = {}
         self._signature: tuple | None = None
+        # The arrays ``_signature`` hashed, kept while the model is sealed:
+        # a state still holding exactly these is not hashed again.  Held
+        # here, their ids cannot be reused by other arrays.
+        self._sealed: list[np.ndarray] | None = None
         # pad="fixed": (batch size, row shape, dtype, rows) -> license
         # verdict under ``_signature``, and (batch size, row shape, dtype)
         # -> the full-width probe output every such verdict compares
@@ -217,11 +263,14 @@ class InferenceEngine(HeldModel):
                     if not np.array_equal(plan.run(perturbed)[row], got[row]):
                         raise CompileError("forward mixes batch rows")
                 # Row count: a graph that sizes a constant or an index by
-                # the traced batch must not serve other row counts.
+                # the traced batch must not serve other row counts.  The
+                # check's 1-row conv scratch is then freed: only an engine
+                # that serves 1-row chunks needs it, and allocates it again.
                 try:
                     first = plan.run(probe[:1])
                 except (ValueError, IndexError) as exc:
                     raise CompileError(f"plan fails at one row: {exc!r}") from exc
+                plan.drop_scratch(1)
                 _assert_parity(first, graph.sample_output[:1], "row-count check")
             except (TraceError, CompileError, AssertionError) as exc:
                 observe.event(
@@ -253,7 +302,8 @@ class InferenceEngine(HeldModel):
         """Whether ``rows``-row chunks of ``chunk``'s row shape may serve:
         on a fixed-seed probe, the plan's output at ``rows`` rows must equal
         the first rows of its output at ``batch_size`` rows, bitwise.  The
-        full-width run is made once per row shape and state signature."""
+        full-width run is made once per row shape and state signature, and
+        a refused bucket's conv scratch is freed."""
         rng = np.random.default_rng(0)
         probe = rng.standard_normal((batch_size,) + chunk.shape[1:]).astype(chunk.dtype)
         plan = self._plan_for(probe)
@@ -264,6 +314,7 @@ class InferenceEngine(HeldModel):
             self._probe_outputs[key] = plan.run(probe)
         if np.array_equal(plan.run(probe[:rows]), self._probe_outputs[key][:rows]):
             return True
+        plan.drop_scratch(rows)  # an unlicensed bucket never runs
         observe.event("infer.unlicensed", shape=[rows, *chunk.shape[1:]])
         return False
 
@@ -282,6 +333,23 @@ class InferenceEngine(HeldModel):
                 break
             rows = min(2 * rows, batch_size)
         return rows
+
+    def _sign_state(self) -> None:
+        """Bring ``_signature`` up to the model's state; a changed
+        signature drops the bucket licenses and probe outputs.
+
+        A sealed state still held (:func:`_holds`) is unchanged and is
+        not hashed; any other state is.
+        """
+        model = self.model
+        if self._sealed is not None and _holds(model, self._sealed):
+            return
+        signature, self._sealed = _state_signature(model)
+        observe.incr("infer.state_hashes")
+        if signature != self._signature:
+            self._licenses.clear()
+            self._probe_outputs.clear()
+        self._signature = signature
 
     # ------------------------------------------------------------- fallback
 
@@ -306,11 +374,7 @@ class InferenceEngine(HeldModel):
         # signature need the real parameter/buffer API.
         use_plans = enabled() and isinstance(self.model, Module)
         if use_plans:
-            signature = _state_signature(self.model)
-            if signature != self._signature:
-                self._licenses.clear()
-                self._probe_outputs.clear()
-            self._signature = signature
+            self._sign_state()
         outputs = []
         start = time.perf_counter()
         for lo in range(0, arr.shape[0], bs):

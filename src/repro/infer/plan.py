@@ -172,8 +172,9 @@ def _k_conv2d(args, params):
     - per offset: one GEMM per kernel offset over the whole flat padded
       map, accumulated through shifted views — no gather copies, at the
       cost of ~(hp·wp)/(oh·ow) extra FLOPs on the padded border;
-    - im2col: ``kh·kw`` slice copies out of the scratch build one
-      ``(c·kh·kw, n·oh·ow)`` matrix, then one GEMM.
+    - im2col: one strided ``(c, kh, kw, n, oh, ow)`` view of the scratch,
+      copied by one reshape, is the ``(c·kh·kw, n·oh·ow)`` matrix for one
+      GEMM (a 1×1 stride-1 conv's is the scratch itself).
 
     The padded input persists across runs, one per row count
     (``params["_scratch"][n]``, border zeroed once), so alternating row
@@ -206,16 +207,15 @@ def _k_conv2d(args, params):
                 np.matmul(w[:, :, dy, dx], flat, out=tbuf)
                 out += tbuf.reshape(f, n, hp, wp)[:, :, dy : dy + oh, dx : dx + ow]
     else:
-        if kh * kw == 1 and stride == 1:
-            cols = xp.reshape(c, n * oh * ow)
+        if kh * kw == 1:
+            taps = xp[:, :, ::stride, ::stride]
         else:
-            cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
-            for dy in range(kh):
-                for dx in range(kw):
-                    cols[:, dy, dx] = xp[
-                        :, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride
-                    ]
-            cols = cols.reshape(c * kh * kw, n * oh * ow)
+            sc, sn, sy, sx = xp.strides
+            taps = np.ndarray(
+                (c, kh, kw, n, oh, ow), xp.dtype, xp, 0,
+                (sc, sy, sx, sn, stride * sy, stride * sx),
+            )
+        cols = taps.reshape(c * kh * kw, n * oh * ow)
         out = (w.reshape(f, c * kh * kw) @ cols).reshape(f, n, oh, ow)
     if len(args) == 3:
         out += args[2].reshape(f, 1, 1, 1)
@@ -821,6 +821,15 @@ class CompiledPlan:
                 continue
             for n, xp in list(padded.items()):
                 _conv_scratch(params, w.shape, n, *xp.shape[2:], xp.dtype)
+
+    def drop_scratch(self, rows: int) -> None:
+        """Free the conv scratch kept for ``rows``-row runs; a later run
+        at that row count allocates it again."""
+        for _, _, _, params, *_ in self._steps:
+            for key in ("_scratch", "_scratch_t"):
+                params.get(key, {}).pop(rows, None)
+        self._scratch_rows.discard(rows)
+        self._count_nbytes()
 
     def _count_nbytes(self) -> None:
         self.nbytes = self._const_nbytes + sum(

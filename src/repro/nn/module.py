@@ -22,6 +22,30 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=requires_grad, name=name)
 
 
+def is_sealed(array: np.ndarray) -> bool:
+    """Whether ``array`` is read-only and owns its memory: then nothing
+    can write its contents, short of turning ``writeable`` back on."""
+    flags = array.flags
+    return not flags.writeable and flags.owndata
+
+
+def _sealed(array: np.ndarray) -> np.ndarray:
+    """``array`` if it is sealed, else a read-only copy of it."""
+    if is_sealed(array):
+        return array
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+def _keep_sealed(current: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``new`` (an owning copy) for a slot holding ``current``,
+    read-only if ``current`` is."""
+    if not current.flags.writeable:
+        new.flags.writeable = False
+    return new
+
+
 class Module:
     """Base class for all neural-network modules."""
 
@@ -115,7 +139,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: {value.shape} vs {param.shape}"
                 )
-            param.data = value.copy()
+            param.data = _keep_sealed(param.data, value.copy())
         for name, (module, local) in own_buffers.items():
             value = np.asarray(state[name])
             current = module._buffers[local]
@@ -126,7 +150,27 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for buffer {name}: {value.shape} vs {current.shape}"
                 )
-            module.set_buffer(local, value.copy())
+            module.set_buffer(local, _keep_sealed(current, value.copy()))
+
+    def seal(self) -> "Module":
+        """Make every parameter and buffer array read-only and the sole
+        owner of its memory (:func:`is_sealed`), and return ``self``.
+
+        A sealed model's state changes only when an array is rebound —
+        by ``load_state_dict``, ``set_buffer`` or assigning a parameter's
+        ``data`` — so a consumer may trust it by array identity; an
+        in-place write raises ``ValueError``.  Every array that is
+        writable or a view is replaced by a read-only copy: a view shares
+        its base's memory, and a writable array may have views, taken
+        before sealing, that could still write it.  ``load_state_dict``
+        keeps a read-only slot read-only, so a sealed model stays sealed.
+        """
+        for module in self.modules():
+            for param in module._parameters.values():
+                param.data = _sealed(param.data)
+            for name, buf in list(module._buffers.items()):
+                module.set_buffer(name, _sealed(buf))
+        return self
 
     # ----------------------------------------------------------------- mode
     def train(self, mode: bool = True) -> "Module":

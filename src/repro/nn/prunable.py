@@ -23,7 +23,12 @@ class PrunableWeightMixin:
         self.register_buffer("weight_mask", np.ones(self.weight.shape, dtype=np.float32))
 
     def set_weight_mask(self, mask: np.ndarray) -> None:
-        """Install a binary mask and zero the pruned weights in place."""
+        """Zero the pruned weights in place and install a binary mask.
+
+        The weights are zeroed first, so on a sealed layer
+        (:meth:`~repro.nn.module.Module.seal`) this raises ``ValueError``
+        and changes neither weight nor mask.
+        """
         mask = np.asarray(mask, dtype=np.float32)
         if mask.shape != self.weight.shape:
             raise ValueError(
@@ -31,8 +36,8 @@ class PrunableWeightMixin:
             )
         if not np.isin(mask, (0.0, 1.0)).all():
             raise ValueError("mask must be binary")
-        self.set_buffer("weight_mask", mask)
         self.weight.data *= mask
+        self.set_buffer("weight_mask", mask)
 
     def reset_weight_mask(self) -> None:
         """Remove all pruning from this layer."""

@@ -8,9 +8,11 @@ scratch per row count), so the registry tracks every plan that serves
 traffic in one recency list and evicts least-recently-used plans
 whenever their total resident bytes exceed the configured budget.
 Evicted shapes recompile on next use; staleness is *not* the LRU's
-problem — the engine's adler32 state signature already re-densifies a
-plan whenever the model's weights change (``load_state_dict``, in-place
-SGD drift).
+problem — the engine re-densifies a plan whenever the model's state
+changes.  A registered model is sealed: its arrays are read-only, so an
+in-place write raises instead of changing what is served, and its state
+changes only when ``load_state_dict`` rebinds its arrays, which the
+engine sees by identity without hashing a weight.
 
 Engines are built with ``pad="fixed"``: a batch pads to the smallest
 power-of-two row bucket licensed bitwise against the full batch width,
@@ -129,9 +131,16 @@ class ModelZooRegistry:
         engine's plans in the LRU).  The engine is adopted as the model's
         shared :func:`repro.infer.engine_for` engine, so out-of-band
         consumers (parity checks, analysis code) use identical plans.
+
+        ``model`` is sealed (:meth:`~repro.nn.module.Module.seal`): an
+        in-place write to it raises ``ValueError``, and its engine trusts
+        its state by array identity instead of hashing every weight per
+        batch.  Swap states with ``load_state_dict``, which keeps it
+        sealed.  It stays read-only after :meth:`unregister`.
         """
         key = as_model_key(key)
         key_str = str(key)
+        model.seal()
         engine = InferenceEngine(
             model,
             batch_size=batch_size or self.batch_size,

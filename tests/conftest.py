@@ -85,6 +85,22 @@ def plan_run_rows(monkeypatch) -> list[int]:
     return rows
 
 
+@pytest.fixture
+def state_hashes(monkeypatch) -> list:
+    """Every model an inference engine content-hashes, in call order."""
+    from repro.infer import engine
+
+    hashed = []
+    signature = engine._state_signature
+
+    def spy(model):
+        hashed.append(model)
+        return signature(model)
+
+    monkeypatch.setattr(engine, "_state_signature", spy)
+    return hashed
+
+
 def make_tiny_trainer(
     model: nn.Module, suite: TaskSuite, epochs: int = 2, seed: int = 0
 ) -> Trainer:

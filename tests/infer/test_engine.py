@@ -13,6 +13,7 @@ from repro.infer import engine as engine_module
 from repro.infer.plan import CompiledPlan
 from repro.infer.trace import trace
 from repro.models.registry import build_model
+from repro.nn.module import is_sealed
 from repro.pruning import build_method
 from repro.pruning.mask import prunable_layers
 
@@ -260,6 +261,73 @@ class TestInvalidation:
         engine = InferenceEngine(model)
         assert_parity(engine.logits(images), module_logits(model, images))
         assert engine.compiled_for(images)
+
+
+class TestSealedState:
+    """A sealed model's state is trusted by array identity; anything else
+    is hashed, as every unsealed state is."""
+
+    def test_sealed_state_is_hashed_once(self, images, state_hashes):
+        model = make_tiny_cnn().seal()
+        engine = InferenceEngine(model)
+        want = engine.logits(images)
+        for _ in range(3):
+            np.testing.assert_array_equal(engine.logits(images), want)
+        assert len(state_hashes) == 1
+
+    def test_unsealed_state_is_hashed_every_call(self, images, state_hashes):
+        engine = InferenceEngine(make_tiny_cnn())
+        for _ in range(3):
+            engine.logits(images)
+        assert len(state_hashes) == 3
+
+    def test_writeable_turned_back_on_takes_the_content_path(
+        self, images, state_hashes
+    ):
+        model = make_tiny_cnn().seal()
+        engine = InferenceEngine(model)
+        engine.logits(images)
+        weight = model[0].weight.data
+        weight.flags.writeable = True
+        weight += 0.05
+        assert_parity(engine.logits(images), module_logits(model, images))
+        assert len(state_hashes) == 2
+        engine.logits(images)  # still unsealed: hashed again
+        assert len(state_hashes) == 3
+
+    def test_read_only_view_of_writable_base_is_not_trusted(
+        self, images, state_hashes
+    ):
+        model = make_tiny_cnn().seal()
+        base = model[0].weight.data.copy()
+        view = base[...]
+        view.flags.writeable = False
+        model[0].weight.data = view
+        engine = InferenceEngine(model)
+        before = engine.logits(images)
+        base += 0.05  # changes the view's contents in place
+        after = engine.logits(images)
+        assert not np.array_equal(before, after)
+        assert_parity(after, module_logits(model, images))
+        assert len(state_hashes) == 2
+
+    def test_load_state_dict_serves_the_new_state_as_a_fresh_engine(
+        self, images, state_hashes
+    ):
+        model = make_tiny_cnn().seal()
+        engine = InferenceEngine(model, batch_size=8, pad="fixed")
+        before = engine.logits(images)
+        donor = make_tiny_cnn(seed=9)
+        build_method("wt").prune(donor, 0.5)
+        model.load_state_dict(donor.state_dict())
+        assert all(is_sealed(p.data) for p in model.parameters())
+        got = engine.logits(images)
+        assert not np.array_equal(got, before)
+        fresh = InferenceEngine(model, batch_size=8, pad="fixed").logits(images)
+        np.testing.assert_array_equal(got, fresh)
+        assert len(state_hashes) == 3  # before, after the load, fresh engine
+        engine.logits(images)
+        assert len(state_hashes) == 3
 
 
 class TestFallback:

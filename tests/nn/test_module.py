@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
+from repro.nn.module import is_sealed
 
 
 def small_net():
@@ -160,6 +161,52 @@ class TestPreserveState:
         net = small_net()
         with nn.preserve_state(net) as m:
             assert m is net
+
+
+def state_arrays(net):
+    return [p.data for p in net.parameters()] + [b for _, b in net.named_buffers()]
+
+
+class TestSeal:
+    def test_every_array_is_read_only_and_owns_its_memory(self):
+        net = small_net()
+        assert net.seal() is net
+        assert all(is_sealed(a) for a in state_arrays(net))
+        with pytest.raises(ValueError, match="read-only"):
+            net[0].weight.data += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            net[1].running_mean[...] = 0.0
+
+    def test_views_and_writable_arrays_are_copied_sealed_ones_kept(self):
+        net = small_net()
+        base = np.zeros((4, 4), dtype=np.float32)
+        net[4].weight.data = base[:2]  # a view of a writable base
+        held = net[0].weight.data  # a reference taken before sealing
+        net.seal()
+        sealed = state_arrays(net)
+        assert net[4].weight.data.base is None
+        base[:] = 1.0  # writes through the base no longer reach the model
+        np.testing.assert_array_equal(net[4].weight.data, 0.0)
+        assert net[0].weight.data is not held
+        np.testing.assert_array_equal(net[0].weight.data, held)
+        net.seal()  # already sealed: nothing is copied again
+        assert all(a is b for a, b in zip(state_arrays(net), sealed))
+
+    def test_load_state_dict_keeps_a_sealed_model_sealed(self):
+        net = small_net().seal()
+        donor = small_net()
+        for p in donor.parameters():
+            p.data += 1.0
+        state = donor.state_dict()
+        net.load_state_dict(state)
+        assert all(is_sealed(a) for a in state_arrays(net))
+        for key, value in net.state_dict().items():
+            np.testing.assert_array_equal(value, state[key], err_msg=key)
+
+    def test_load_state_dict_leaves_an_unsealed_model_writable(self):
+        net = small_net()
+        net.load_state_dict(small_net().state_dict())
+        assert all(a.flags.writeable for a in state_arrays(net))
 
 
 class TestModes:

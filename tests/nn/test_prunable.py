@@ -48,6 +48,18 @@ class TestMaskInstall:
         assert layer.num_pruned == 0
         assert_bitwise_equal(layer.masked_weight.data, layer.weight.data)
 
+    def test_set_mask_on_sealed_layer_raises_and_changes_nothing(self, rng):
+        layer = nn.Linear(4, 3, rng=rng).seal()
+        weight, mask = layer.weight.data, layer.weight_mask
+        before = weight.copy()
+        cut = np.ones_like(mask)
+        cut[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            layer.set_weight_mask(cut)
+        assert layer.weight.data is weight and layer.weight_mask is mask
+        assert_bitwise_equal(weight, before)
+        assert mask.all()
+
 
 class TestMaskForwardBackward:
     def test_masked_weights_do_not_contribute(self, rng):

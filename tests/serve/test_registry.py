@@ -1,5 +1,5 @@
 """Registry tests: keys, warm engines, the plan LRU under a byte budget,
-and the row-bucket licenses of served engines.
+the row-bucket licenses of served engines, and sealed served models.
 
 Also holds an engine regression test: a warm plan held by the serving
 layer re-densifies after ``load_state_dict`` (staleness).
@@ -12,10 +12,24 @@ import pytest
 
 from repro.infer import engine_for
 from repro.infer import plan as plan_module
+from repro.nn.module import is_sealed
 from repro.pruning import build_method
 from repro.serve import ModelKey, ModelZooRegistry, as_model_key
 from tests.conftest import make_tiny_cnn
 from tests.serve.conftest import ROW_SHAPE, images_for, make_registry, make_server
+
+
+def held_scratch(plan) -> tuple[set[int], int]:
+    """Row counts ``plan`` holds conv scratch for, and the bytes it holds
+    (constants and scratch)."""
+    bufs = [
+        (rows, buf)
+        for step in plan._steps
+        for k in ("_scratch", "_scratch_t")
+        for rows, buf in step[3].get(k, {}).items()
+    ]
+    held = plan._const_nbytes + sum(buf.nbytes for _, buf in bufs)
+    return {rows for rows, _ in bufs}, held
 
 
 class TestModelKey:
@@ -192,13 +206,28 @@ class TestPlanLRU:
         engine = registry.engine(key)
         (warm,) = engine.plan_stats().values()
         assert registry.plan_memory_bytes() == warm
-        # Warm ran the plan at 8 rows and at 1 (the compile's row-count
-        # check); a 3-row batch runs it at 4, licensing that bucket.
+        # Warm ran the plan at 8 rows (and at 1 for the compile's
+        # row-count check, whose scratch it freed); a 3-row batch runs it
+        # at 4, licensing that bucket.
         engine.logits(images_for(rng, rows=3))
         (grown,) = engine.plan_stats().values()
         assert grown > warm
         engine.logits(images_for(rng, rows=8))  # the next touch
         assert registry.plan_memory_bytes() == grown
+
+    def test_warm_plan_holds_scratch_only_for_rows_that_served(
+        self, registry, rng, plan_run_rows
+    ):
+        """The compile's 1-row check leaves no scratch behind: a warm plan
+        holds conv scratch only at the row counts traffic ran it at, and
+        its bytes are exactly what it holds."""
+        key = "cnn0/wt@0.5"
+        registry.warm(key, [ROW_SHAPE])
+        (plan,) = registry.engine(key)._plans.values()
+        assert 1 in plan_run_rows
+        assert held_scratch(plan) == ({8}, plan.nbytes)
+        registry.engine(key).logits(images_for(rng, rows=3))
+        assert held_scratch(plan) == ({4, 8}, plan.nbytes)
 
     def test_stats_snapshot(self, rng):
         registry = make_registry(n_models=2, memory_budget_bytes=1 << 30)
@@ -237,6 +266,54 @@ class TestPlanStaleness:
         )
 
 
+class TestSealing:
+    """A registered model is sealed: in-place writes raise, and served
+    traffic trusts its state by array identity."""
+
+    def test_in_place_write_raises_and_served_outputs_are_unchanged(self, rng):
+        registry = make_registry(n_models=1)
+        server = make_server(registry)
+        key = "cnn0/wt@0.5"
+        model = registry.model(key)
+        images = images_for(rng, rows=3)
+        before = server.predict_logits(key, images)
+        with pytest.raises(ValueError, match="read-only"):
+            model[0].weight.data += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model[1].running_mean[...] = 0.0
+        np.testing.assert_array_equal(server.predict_logits(key, images), before)
+
+    def test_model_stays_sealed_after_unregister(self):
+        registry = make_registry(n_models=1)
+        model = registry.model("cnn0/wt@0.5")
+        registry.unregister("cnn0/wt@0.5")
+        assert all(is_sealed(p.data) for p in model.parameters())
+        assert all(is_sealed(b) for _, b in model.named_buffers())
+
+    def test_warm_traffic_hashes_no_state_until_a_load(self, rng, state_hashes):
+        registry = make_registry(n_models=2)
+        for key in registry.keys():
+            registry.warm(key, [ROW_SHAPE])
+        server = make_server(registry)
+        state_hashes.clear()
+
+        def traffic():
+            responses = [
+                server.submit(key, images_for(rng, rows=rows))
+                for rows in (1, 3, 8, 2)
+                for key in registry.keys()
+            ]
+            server.run_until_idle()
+            assert all(r.status == "ok" for r in responses)
+
+        traffic()
+        assert state_hashes == []
+        model = registry.model("cnn1/wt@0.5")
+        model.load_state_dict(make_tiny_cnn(seed=77).state_dict())
+        traffic()
+        assert state_hashes == [model]
+
+
 class TestBucketLicense:
     """Only buckets licensed bitwise against the full-width run serve."""
 
@@ -264,6 +341,10 @@ class TestBucketLicense:
         assert list(engine.plan_stats()) == [plan_key]
         assert registry.resident_plans() == [("cnn0/wt@0.5", plan_key)]
         assert plan_run_rows[-1] == min(licensed)
+        # The refused bucket's license run left no scratch behind.
+        (plan,) = engine._plans.values()
+        rows, held = held_scratch(plan)
+        assert 1 not in rows and held == plan.nbytes
         batch = np.concatenate([image, images_for(rng, rows=7)])
         np.testing.assert_array_equal(got, engine.logits(batch)[:1])
 
