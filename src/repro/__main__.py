@@ -3,7 +3,6 @@
 Commands
 --------
 ``zoo``          pre-train the cached model zoo used by the benchmarks
-``worker``       drain tasks from a durable work-queue directory
 ``methods``      list the registered pruning methods and their hyperparameters
 ``curve``        run one prune-retrain pipeline and print its curve
 ``potential``    prune potential per distribution for one (model, method)
@@ -13,8 +12,8 @@ Commands
 ``serve-bench``  load-test the serving layer and write ``BENCH_serve.json``
 
 ``zoo``, ``curve``, ``potential`` and ``tables`` run grids and share one
-flag set: ``--jobs``, ``--on-error``, ``--max-retries``,
-``--cell-timeout``, ``--executor`` and ``--queue-dir``.
+flag set: ``--jobs``, ``--on-error``, ``--max-retries`` and
+``--cell-timeout``.
 
 ``--method`` accepts any registry spec string — a method name with
 optional keyword hyperparameters, e.g. ``wt``, ``lowrank(rank_frac=0.25)``
@@ -89,24 +88,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="per-cell deadline in seconds; a hung pool worker is replaced. "
-        "Serial runs and the queue executor have no deadline "
-        "(default: REPRO_CELL_TIMEOUT or none)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["pool", "queue"],
-        default=None,
-        help="grid execution backend: in-process pool (default) or the "
-        "durable work queue, which survives crashes and accepts extra "
-        "`python -m repro worker` processes (default: REPRO_EXECUTOR)",
-    )
-    parser.add_argument(
-        "--queue-dir",
-        default=None,
-        metavar="DIR",
-        help="work-queue directory for --executor queue (shared across "
-        "hosts for multi-host runs; default: derived per grid under the "
-        "cache dir, or REPRO_QUEUE_DIR)",
+        "Serial runs have no deadline (default: REPRO_CELL_TIMEOUT or none)",
     )
 
 
@@ -116,8 +98,6 @@ def _grid_kwargs(args, on_error: str = "raise") -> dict:
         "on_error": args.on_error or on_error,
         "max_retries": args.max_retries,
         "cell_timeout": args.cell_timeout,
-        "executor": args.executor,
-        "queue_dir": args.queue_dir,
     }
 
 
@@ -169,29 +149,6 @@ def cmd_zoo(args) -> int:
         print(f"run ledger: {ledger}")
         print(f"render it with: python -m repro trace {ledger}")
     return 1 if timing.failures else 0
-
-
-def cmd_worker(args) -> int:
-    from repro.queue import WorkQueue, run_worker
-
-    queue = WorkQueue(args.queue, lease_seconds=args.lease_seconds)
-    report = run_worker(
-        queue,
-        worker_id=args.worker_id,
-        max_tasks=args.max_tasks,
-        idle_seconds=args.idle,
-    )
-    counts = queue.counts()
-    print(
-        f"worker {report.worker}: {report.completed} completed, "
-        f"{report.failed} failed, {report.reclaimed} leases reclaimed, "
-        f"{report.duplicate} duplicate completions"
-    )
-    print(
-        f"queue: {counts['done']} done, {counts['pending']} pending, "
-        f"{counts['leased']} leased, {counts['quarantined']} quarantined"
-    )
-    return 0
 
 
 def cmd_curve(args) -> int:
@@ -373,36 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     zoo_parser.set_defaults(fn=cmd_zoo)
 
-    worker_parser = sub.add_parser(
-        "worker",
-        help="drain tasks from a durable work-queue directory "
-        "(see --executor queue)",
-    )
-    worker_parser.add_argument(
-        "--queue",
-        required=True,
-        metavar="DIR",
-        help="queue directory (the driver's --queue-dir)",
-    )
-    worker_parser.add_argument(
-        "--worker-id", default=None, help="stable worker name for the journal"
-    )
-    worker_parser.add_argument(
-        "--max-tasks", type=int, default=None, help="stop after N tasks"
-    )
-    worker_parser.add_argument(
-        "--idle",
-        type=float,
-        default=0.0,
-        help="keep serving new work for this many seconds after a drain",
-    )
-    worker_parser.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=None,
-        help="lease duration (default: REPRO_LEASE_SECONDS or 60)",
-    )
-    worker_parser.set_defaults(fn=cmd_worker)
     for name, fn in [("curve", cmd_curve), ("potential", cmd_potential), ("tables", cmd_tables)]:
         p = sub.add_parser(name)
         _add_common(p)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -151,7 +150,7 @@ class CorruptionPotentialResult:
 
 
 @memoize(
-    ignore=("jobs", "max_retries", "cell_timeout", "executor", "queue_dir"),
+    ignore=("jobs", "max_retries", "cell_timeout"),
     normalize={"method_name": canonical_spec},
 )
 def corruption_potential_experiment(
@@ -166,8 +165,6 @@ def corruption_potential_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> CorruptionPotentialResult:
     """Prune potential on nominal, shifted, and every corrupted test set.
 
@@ -183,7 +180,6 @@ def corruption_potential_experiment(
         f"corruption_potential[{task_name}/{model_name}/{method_name}]",
         task_name, model_name, method_name, scale, robust, named_specs, jobs=jobs,
         on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-        executor=executor, queue_dir=queue_dir,
     )
     potentials = np.full((scale.n_repetitions, len(names)), np.nan)
     curves: dict[str, list[PruneAccuracyCurve]] = {n: [] for n in names}
@@ -223,7 +219,7 @@ class SeveritySweepResult:
 
 
 @memoize(
-    ignore=("jobs", "max_retries", "cell_timeout", "executor", "queue_dir"),
+    ignore=("jobs", "max_retries", "cell_timeout"),
     normalize={"method_name": canonical_spec},
 )
 def severity_sweep_experiment(
@@ -238,8 +234,6 @@ def severity_sweep_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> SeveritySweepResult:
     """Prune potential of one corruption across severity levels."""
     named_specs = [
@@ -250,7 +244,6 @@ def severity_sweep_experiment(
         f"severity_sweep[{task_name}/{model_name}/{method_name}/{corruption}]",
         task_name, model_name, method_name, scale, False, named_specs, jobs=jobs,
         on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-        executor=executor, queue_dir=queue_dir,
     )
     potentials = np.full((scale.n_repetitions, len(severities)), np.nan)
     for rep in range(scale.n_repetitions):
@@ -295,8 +288,6 @@ def corruption_excess_error_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> ExcessErrorStudyResult:
     """``ê − e`` per prune ratio, averaged over the corruption suite.
 
@@ -310,7 +301,6 @@ def corruption_excess_error_experiment(
         task_name, model_name, method_name, scale,
         corruptions=corruptions, robust=robust, jobs=jobs,
         on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-        executor=executor, queue_dir=queue_dir,
     )
     corruption_names = [
         n for n in base.distributions if n not in ("nominal", "shifted")

@@ -34,8 +34,6 @@ def dispatch(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> tuple[list, list[CellFailure]]:
     """Fan out the cells whose upstream lives; returns ``(results, failures)``.
 
@@ -67,8 +65,6 @@ def dispatch(
         max_retries=max_retries,
         timeout=cell_timeout,
         keys=[keys[i] for i in live],
-        executor=executor,
-        queue_dir=queue_dir,
     )
     if on_error == "collect":
         failures += [dataclasses.replace(f, index=live[f.index]) for f in out.failures]
@@ -135,8 +131,6 @@ def run_grid(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> tuple[list, GridTiming]:
     """Run one study grid; returns ``(results, timing)``.
 
@@ -158,8 +152,6 @@ def run_grid(
         on_error=on_error,
         max_retries=max_retries,
         cell_timeout=cell_timeout,
-        executor=executor,
-        queue_dir=queue_dir,
     )
     with stopwatch() as elapsed, grid_scope():
         zoo = build_zoo(list(dict.fromkeys(spec for spec, _, _ in cells)), scale, **knobs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -98,8 +97,6 @@ def noise_potential_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> NoisePotentialResult:
     """Evaluate Definition 1 under ℓ∞ noise of growing magnitude.
 
@@ -120,7 +117,6 @@ def noise_potential_experiment(
         f"noise_potential[{task_name}/{model_name}/{method_name}]",
         _noise_cell, cells, scale, jobs=jobs,
         on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-        executor=executor, queue_dir=queue_dir,
     )
     potentials = np.full((scale.n_repetitions, len(scale.noise_levels)), np.nan)
     for rep, li, potential, _ in filter(None, results):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def _rep_cell(payload):
 
 
 @memoize(
-    ignore=("jobs", "max_retries", "cell_timeout", "executor", "queue_dir"),
+    ignore=("jobs", "max_retries", "cell_timeout"),
     normalize={"method_name": canonical_spec},
 )
 def prune_curve_experiment(
@@ -97,8 +96,6 @@ def prune_curve_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> PruneCurveResult:
     """Build (or load) all repetitions and collect the nominal curve.
 
@@ -119,7 +116,6 @@ def prune_curve_experiment(
     results, timing = run_grid(
         label, _rep_cell, cells, scale, jobs=jobs,
         on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-        executor=executor, queue_dir=queue_dir,
     )
     rep_cells = {rep: cell for rep, cell in enumerate(results) if cell is not None}
     if not rep_cells:

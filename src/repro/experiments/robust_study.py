@@ -8,7 +8,6 @@ distribution) from held-out ones (test distribution).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -56,8 +55,6 @@ def robust_potential_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> RobustPotentialResult:
     """Per-corruption potential of robustly (re-)trained networks."""
     protocol = protocol or default_robust_protocol(scale.severity)
@@ -69,7 +66,6 @@ def robust_potential_experiment(
             task_name, model_name, method_name, scale,
             corruptions=corruptions, robust=True, jobs=jobs,
             on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
         )
     return RobustPotentialResult(base=base, protocol=protocol)
 
@@ -85,8 +81,6 @@ def robust_excess_error_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> ExcessErrorStudyResult:
     """``ê − e`` of robustly trained networks over the held-out corruptions."""
     protocol = protocol or default_robust_protocol(scale.severity)
@@ -104,6 +98,4 @@ def robust_excess_error_experiment(
             on_error=on_error,
             max_retries=max_retries,
             cell_timeout=cell_timeout,
-            executor=executor,
-            queue_dir=queue_dir,
         )

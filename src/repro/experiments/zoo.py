@@ -434,22 +434,18 @@ def _zoo_payload(spec: ZooSpec) -> dict:
 
 
 def _build_phase(
-    phase: str,
     specs: list[ZooSpec],
     upstreams: list[str | None],
     scale: ExperimentScale,
-    queue_dir: str | Path | None,
     **knobs,
 ) -> tuple[list[CellTiming], list]:
     """One fan-out of :func:`build_zoo`: built cells, and failures that
-    carry the payload ``--resume`` rebuilds their spec from.  Each phase
-    has its own queue namespace, ``queue_dir/<phase>``."""
+    carry the payload ``--resume`` rebuilds their spec from."""
     results, failures = dispatch(
         _build_cell,
         [s.key(scale) for s in specs],
         [(s, scale) for s in specs],
         upstreams,
-        queue_dir=None if queue_dir is None else Path(queue_dir) / phase,
         **knobs,
     )
     by_key = {s.key(scale): s for s in specs}
@@ -468,8 +464,6 @@ def build_zoo(
     max_retries: int | None = None,
     cell_timeout: float | None = None,
     manifest_dir: str | Path | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ) -> GridTiming:
     """Materialize every artifact in ``specs`` across ``jobs`` processes.
 
@@ -491,13 +485,10 @@ def build_zoo(
     ``python -m repro zoo --resume <manifest>`` recomputes only those
     cells.
 
-    ``executor="queue"`` (or ``REPRO_EXECUTOR=queue``) routes both
-    fan-outs through the durable work queue (:mod:`repro.queue`): the
-    build survives driver and worker crashes, a re-run resumes from the
-    journal, and extra ``python -m repro worker`` processes on any host
-    sharing ``queue_dir`` can help drain the grid.  Parents and prune
-    runs use distinct queue namespaces (``queue_dir/parents`` and
-    ``queue_dir/prune``) so the two phases' journals never mix.
+    A build killed outright (SIGKILL, OOM, power loss) resumes by running
+    it again: each artifact is published by an atomic rename under a
+    lock the kernel releases when its holder dies, so every artifact
+    finished before the kill is a cache hit and only the rest are built.
     """
     specs = list(specs)
     parents = parent_specs(specs)
@@ -507,14 +498,13 @@ def build_zoo(
         on_error=on_error,
         max_retries=max_retries,
         cell_timeout=cell_timeout,
-        executor=executor,
     )
     with observe.span(
         "build_zoo", specs=len(specs), jobs=resolve_jobs(jobs), on_error=on_error
     ) as span:
         with stopwatch() as elapsed:
             cells, failures = _build_phase(
-                "parents", parents, [None] * len(parents), scale, queue_dir, **knobs
+                parents, [None] * len(parents), scale, **knobs
             )
             # Prune runs whose parent failed would retrain it inline under
             # the artifact lock (and likely die the same way); skip them as
@@ -522,11 +512,9 @@ def build_zoo(
             dead = {f.key for f in failures}
             parent_keys = [_parent_of(s).key(scale) for s in prune]
             prune_cells, prune_failures = _build_phase(
-                "prune",
                 prune,
                 [f"parent cell {key}" if key in dead else None for key in parent_keys],
                 scale,
-                queue_dir,
                 **knobs,
             )
             wall = elapsed()

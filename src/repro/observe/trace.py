@@ -116,46 +116,6 @@ class TraceReport:
         return rollup if any(rollup.values()) else None
 
     @property
-    def queue(self) -> dict[str, Any] | None:
-        """Work-queue rollup: claims, reclaims, quarantines, renewals, and
-        per-worker throughput (``None`` when the run used no queue).
-
-        Per-worker counts come from the ``queue.worker_tasks.<worker>``
-        counters each completion increments, so a multi-process (or
-        multi-host, given a merged ledger) drain shows who did the work.
-        """
-        claims = self.counters.get("queue.claims", 0)
-        enqueued = self.counters.get("queue.enqueued", 0)
-        if not claims and not enqueued:
-            return None
-        prefix = "queue.worker_tasks."
-        per_worker = {
-            name[len(prefix):]: int(value)
-            for name, value in sorted(self.counters.items())
-            if name.startswith(prefix)
-        }
-        rollup: dict[str, Any] = {
-            "enqueued": enqueued,
-            "claims": claims,
-            "completions": self.counters.get("queue.completions", 0),
-            "renewals": self.counters.get("queue.renewals", 0),
-            "reclaims": self.counters.get("queue.reclaims", 0),
-            "quarantines": self.counters.get("queue.quarantines", 0),
-            "failures": self.counters.get("queue.failures", 0),
-            "duplicate_completions": self.counters.get(
-                "queue.duplicate_completions", 0
-            ),
-            "worker_deaths": self.counters.get("queue.worker_deaths", 0),
-            "resumed_tasks": self.counters.get("queue.resumed_tasks", 0),
-            "workers": per_worker,
-        }
-        if "queue.task_seconds" in self.hists:
-            rollup["task_seconds_mean"] = self.hist_summary(
-                "queue.task_seconds"
-            )["mean"]
-        return rollup
-
-    @property
     def serve(self) -> dict[str, float] | None:
         """Serving rollup: request outcomes, batching, plan-cache churn
         (``None`` when the run served no traffic)."""
@@ -201,8 +161,6 @@ class TraceReport:
             out["grid_scope"] = self.grid_scope
         if self.resilience is not None:
             out["resilience"] = self.resilience
-        if self.queue is not None:
-            out["queue"] = self.queue
         if self.serve is not None:
             out["serve"] = self.serve
         return out
@@ -256,26 +214,6 @@ class TraceReport:
                 f"{_fmt_num(r['degraded_grids'])} degraded grid(s), "
                 f"{_fmt_num(r['resumes'])} resume(s)"
             )
-        if self.queue is not None:
-            q = self.queue
-            line = (
-                "queue: "
-                f"{_fmt_num(q['enqueued'])} enqueued, "
-                f"{_fmt_num(q['claims'])} claims, "
-                f"{_fmt_num(q['completions'])} completed, "
-                f"{_fmt_num(q['renewals'])} heartbeat(s), "
-                f"{_fmt_num(q['reclaims'])} reclaimed, "
-                f"{_fmt_num(q['quarantines'])} quarantined, "
-                f"{_fmt_num(q['duplicate_completions'])} duplicate(s), "
-                f"{_fmt_num(q['worker_deaths'])} worker death(s)"
-            )
-            if q["workers"]:
-                per = ", ".join(
-                    f"{worker}={count}"
-                    for worker, count in sorted(q["workers"].items())
-                )
-                line += f"; per-worker: {per}"
-            lines.append(line)
         if self.serve is not None:
             s = self.serve
             line = (

@@ -27,15 +27,12 @@ from repro.parallel.locks import (
     fsync_path,
 )
 from repro.parallel.pool import (
-    EXECUTOR_ENV,
-    EXECUTORS,
     JOBS_ENV,
     START_METHOD_ENV,
     MapOutcome,
     WorkerError,
     default_chunksize,
     parallel_map,
-    resolve_executor,
     resolve_jobs,
     resolve_start_method,
 )
@@ -48,15 +45,12 @@ __all__ = [
     "atomic_write",
     "fsync_dir",
     "fsync_path",
-    "EXECUTOR_ENV",
-    "EXECUTORS",
     "JOBS_ENV",
     "START_METHOD_ENV",
     "MapOutcome",
     "WorkerError",
     "default_chunksize",
     "parallel_map",
-    "resolve_executor",
     "resolve_jobs",
     "resolve_start_method",
     "CellTiming",

@@ -169,7 +169,7 @@ def atomic_write(path: str | Path, durable: bool = True) -> Iterator[Path]:
 
     With ``durable=True`` (the default) the staged file is fsynced before
     the rename and the parent directory is fsynced after it, so a
-    successfully published artifact or journal entry survives power loss
+    successfully published artifact or manifest survives power loss
     — not just process crash.
     """
     path = Path(path)

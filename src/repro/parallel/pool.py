@@ -19,6 +19,12 @@ the faults a multi-hour sweep actually hits:
   :class:`MapOutcome` carrying the surviving results plus one structured
   :class:`~repro.resilience.failures.CellFailure` per dead cell, instead
   of aborting the whole grid on the first fault;
+- **crash resume without a journal**: a grid killed whole (SIGKILL, OOM,
+  host loss) resumes by running it again.  Zoo cells publish their
+  artifacts by atomic rename under ``flock`` locks that the kernel
+  releases when their holder dies (:mod:`repro.parallel.locks`), so
+  every artifact finished before the kill is a cache hit and only the
+  rest are built; eval cells are recomputed from those artifacts;
 - :func:`resolve_jobs` — worker-count resolution from an explicit value,
   the ``REPRO_NUM_WORKERS`` environment variable, or a serial default;
 - ``jobs=1`` never touches ``multiprocessing`` at all: the map runs in
@@ -64,11 +70,6 @@ R = TypeVar("R")
 
 JOBS_ENV = "REPRO_NUM_WORKERS"
 START_METHOD_ENV = "REPRO_MP_START"
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Valid ``executor=`` values: the in-memory worker pool (this module)
-#: and the durable on-disk work queue (:mod:`repro.queue`).
-EXECUTORS = ("pool", "queue")
 
 #: How often the collection loop wakes to launch work and check deadlines.
 _POLL_SECONDS = 0.05
@@ -146,23 +147,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return jobs
-
-
-def resolve_executor(executor: str | None = None) -> str:
-    """Explicit arg > ``REPRO_EXECUTOR`` > ``"pool"``.
-
-    ``"pool"`` is the in-memory worker pool below; ``"queue"`` routes the
-    map through the durable work queue (:func:`repro.queue.queue_map`),
-    which survives driver and worker crashes and admits workers from
-    other processes and hosts.
-    """
-    if executor is None:
-        executor = os.environ.get(EXECUTOR_ENV, "").strip() or "pool"
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    return executor
 
 
 def resolve_start_method(start_method: str | None = None) -> str:
@@ -493,8 +477,6 @@ def parallel_map(
     retry_policy: RetryPolicy | None = None,
     timeout: float | None = None,
     keys: Sequence[str] | Callable[[T], str] | None = None,
-    executor: str | None = None,
-    queue_dir: str | os.PathLike | None = None,
 ) -> list[R] | MapOutcome:
     """Map ``fn`` over ``items`` across ``jobs`` worker processes.
 
@@ -512,44 +494,17 @@ def parallel_map(
     - ``timeout`` — per-cell deadline in seconds (scaled by chunk length
       per dispatch).  A stalled worker is terminated and replaced.
       Defaults to ``REPRO_CELL_TIMEOUT`` or no deadline.  Serial maps
-      cannot enforce one, and the queue executor rejects one;
+      cannot enforce one;
     - ``on_error="collect"`` — degrade instead of aborting: returns a
       :class:`MapOutcome` with partial results and structured
       :class:`CellFailure` records for cells that exhausted their budget;
     - ``keys`` — stable per-cell names (a sequence, or a callable applied
       to each item) used for manifests, backoff jitter, and chaos
       seeding; defaults to ``item-<index>``.
-    - ``executor`` — ``"pool"`` (default, this module) or ``"queue"``:
-      route the map through the durable on-disk work queue
-      (:mod:`repro.queue`), which survives driver/worker crashes, resumes
-      finished cells from its journal, and accepts extra workers from
-      other hosts.  ``queue_dir`` pins the queue directory (required for
-      multi-host runs; otherwise derived from the grid identity).
-      Overridable per run via ``REPRO_EXECUTOR``.
     """
     if not callable(fn):
         raise ValueError(f"fn must be callable, got {type(fn).__name__}")
     timeout = resolve_cell_timeout(timeout)
-    if resolve_executor(executor) == "queue":
-        if timeout is not None:
-            # A lease only expires when its worker stops heartbeating, so
-            # a slow but live cell would run past any deadline.
-            raise ValueError(
-                f"the queue executor cannot enforce a {timeout:g}s cell "
-                "deadline; drop --cell-timeout (or REPRO_CELL_TIMEOUT) or "
-                "use the pool executor"
-            )
-        from repro.queue.executor import queue_map
-
-        return queue_map(
-            fn,
-            items,
-            jobs,
-            keys=keys,
-            queue_dir=queue_dir,
-            on_error=on_error,
-            max_retries=max_retries,
-        )
     if chunksize is not None:
         if not isinstance(chunksize, int) or isinstance(chunksize, bool):
             raise ValueError(f"chunksize must be an int, got {chunksize!r}")

@@ -29,7 +29,6 @@ from repro.resilience.failures import (
     KIND_CRASH,
     KIND_DEPENDENCY,
     KIND_EXCEPTION,
-    KIND_QUARANTINE,
     KIND_TIMEOUT,
     CellFailure,
     FailureManifest,
@@ -64,7 +63,6 @@ __all__ = [
     "KIND_CRASH",
     "KIND_TIMEOUT",
     "KIND_DEPENDENCY",
-    "KIND_QUARANTINE",
     "RetryPolicy",
     "MAX_RETRIES_ENV",
     "CELL_TIMEOUT_ENV",

@@ -73,7 +73,6 @@ class ChaosConfig:
     torn_write_rate: float = 0.0
     lock_hold_rate: float = 0.0
     lock_hold_seconds: float = 0.25
-    lease_kill_rate: float = 0.0
     seed: int = 0
     only_keys: tuple[str, ...] = ()
     first_attempts_only: int = 0
@@ -82,7 +81,7 @@ class ChaosConfig:
     def __post_init__(self):
         for name in (
             "exception_rate", "crash_rate", "delay_rate",
-            "torn_write_rate", "lock_hold_rate", "lease_kill_rate",
+            "torn_write_rate", "lock_hold_rate",
         ):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -96,7 +95,6 @@ class ChaosConfig:
                 self.delay_rate,
                 self.torn_write_rate,
                 self.lock_hold_rate,
-                self.lease_kill_rate,
             )
         )
 
@@ -238,7 +236,7 @@ def _should(
     config = state.config
     if rate <= 0.0 or not _key_matches(config, key):
         return False
-    if site.startswith(("worker.", "queue.")) and config.first_attempts_only > 0:
+    if site.startswith("worker.") and config.first_attempts_only > 0:
         if attempt >= config.first_attempts_only:
             return False
     if counted and config.max_per_key > 0:
@@ -291,37 +289,6 @@ def on_worker_cell(key: str, attempt: int = 0) -> None:
         _record("worker.exception", key)
         raise ChaosError(
             f"chaos: injected worker exception for {key!r} (attempt {attempt})"
-        )
-
-
-def on_queue_task(key: str, attempt: int = 0) -> None:
-    """Queue-worker hook: may hard-kill the worker mid-lease (SIGKILL).
-
-    Called by :mod:`repro.queue.worker` after a lease was claimed and
-    journaled but before the task function runs — the worst moment to
-    die, because the lease is live and nobody will ever complete or fail
-    it.  Exercises stale-lease reclamation end to end.  ``attempt`` is
-    the task's lease number (0-based), so ``first_attempts_only=1``
-    guarantees the reclaimed lease's retry survives.
-
-    SIGKILL gives the process no chance to clean up — no atexit, no
-    finally blocks, no lease release — exactly like an OOM kill or a
-    host loss.  Never fires in the chaos owner process (a test or a
-    serial driver would kill itself); there it degrades to a transient
-    exception like the crash site does.
-    """
-    state = _get_state()
-    if state is None:
-        return
-    if _should(state, "queue.kill", key, state.config.lease_kill_rate, attempt):
-        if not _is_owner():
-            _record("queue.kill", key)
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
-        _record("queue.kill-as-exception", key)
-        raise ChaosError(
-            f"chaos: injected lease kill (owner-degraded) for {key!r}"
         )
 
 

@@ -25,7 +25,6 @@ KIND_EXCEPTION = "exception"  # fn raised inside the worker
 KIND_CRASH = "crash"  # worker process died without reporting a result
 KIND_TIMEOUT = "timeout"  # cell exceeded its deadline; worker was replaced
 KIND_DEPENDENCY = "dependency"  # an upstream cell (e.g. the parent) failed
-KIND_QUARANTINE = "quarantine"  # task burned its lease budget on the queue
 
 
 def _wall_stamp() -> str:

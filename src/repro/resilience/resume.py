@@ -81,8 +81,6 @@ def resume_zoo(
     on_error: str = "collect",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
-    queue_dir: str | Path | None = None,
 ):
     """Re-dispatch the failed cells of one or several zoo build manifests.
 
@@ -123,6 +121,4 @@ def resume_zoo(
         on_error=on_error,
         max_retries=max_retries,
         cell_timeout=cell_timeout,
-        executor=executor,
-        queue_dir=queue_dir,
     )

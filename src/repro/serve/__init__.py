@@ -27,7 +27,7 @@ from repro.serve.batcher import (
     PendingResponse,
     Request,
 )
-from repro.serve.clock import Clock, MonotonicClock, VirtualClock, WallClock
+from repro.serve.clock import Clock, MonotonicClock, VirtualClock
 from repro.serve.loadgen import (
     Arrival,
     LoadProfile,
@@ -77,7 +77,6 @@ __all__ = [
     "TERMINAL",
     "TrafficMix",
     "VirtualClock",
-    "WallClock",
     "as_model_key",
     "audit_parity",
     "build_bench_registry",

@@ -47,26 +47,6 @@ class MonotonicClock(Clock):
             time.sleep(seconds)
 
 
-class WallClock(Clock):
-    """Epoch wall time via ``time.time``; ``sleep`` really sleeps.
-
-    Used where timestamps must be meaningful *across* processes and hosts
-    — lease expiries in the :mod:`repro.queue` journal are absolute epoch
-    seconds written by one worker and compared by another, which
-    ``time.monotonic`` (whose origin is per-boot, per-host) cannot
-    support.
-    """
-
-    virtual = False
-
-    def now(self) -> float:
-        return time.time()
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-
-
 class VirtualClock(Clock):
     """Deterministic manual time: ``sleep``/``advance_to`` just move ``now``.
 

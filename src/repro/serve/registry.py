@@ -176,9 +176,16 @@ class ModelZooRegistry:
             return sorted(self._models)
 
     def get(self, key: ModelKey | str) -> RegisteredModel:
-        """The full entry for ``key`` (raises ``KeyError`` with choices)."""
-        key_str = str(as_model_key(key))
+        """The full entry for ``key`` (raises ``KeyError`` with choices).
+
+        A canonical key string is looked up as is; any other string is
+        parsed first, so ``"resnet20/wt@0.50"`` finds ``resnet20/wt@0.5``.
+        """
         with self._lock:
+            entry = self._models.get(key) if isinstance(key, str) else None
+            if entry is not None:
+                return entry
+            key_str = str(as_model_key(key))
             try:
                 return self._models[key_str]
             except KeyError:

@@ -38,7 +38,7 @@ from repro import observe
 from repro.resilience.retry import RetryPolicy
 from repro.serve.batcher import Batch, DynamicBatcher, GroupKey, PendingResponse, Request
 from repro.serve.clock import Clock, VirtualClock
-from repro.serve.registry import ModelKey, ModelZooRegistry, as_model_key
+from repro.serve.registry import ModelKey, ModelZooRegistry
 from repro.serve.safety import SafetyContext
 
 
@@ -139,8 +139,9 @@ class PruneServer:
         is relative seconds (defaults to the config's), measured on the
         server clock from submission.
         """
-        key_str = str(as_model_key(key))
-        self.registry.get(key_str)  # fail fast: don't queue doomed requests
+        # Fail fast (don't queue doomed requests) and queue under the
+        # entry's canonical key, which later lookups take without a parse.
+        key_str = str(self.registry.get(key).key)
         arr = np.asarray(images)
         if arr.ndim < 2 or arr.size == 0:
             raise ValueError(

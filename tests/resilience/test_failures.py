@@ -147,11 +147,12 @@ class TestTimestampAndDedupe:
 
 
 class TestMultiManifest:
-    def _zoo_failure(self, key, repetition=0):
+    def _zoo_failure(self, key, repetition=0, **over):
         return _failure(
             key,
             payload={"kind": "zoo", "task": "cifar", "model": "resnet20",
                      "method": "wt", "repetition": repetition, "robust": False},
+            **over,
         )
 
     def test_load_manifests_accepts_one_or_many(self, tmp_path):
@@ -163,7 +164,7 @@ class TestMultiManifest:
         assert [m.label for m in load_manifests(path)] == ["g"]
         assert [m.label for m in load_manifests([manifest, path])] == ["g", "g"]
 
-    def test_specs_merge_and_dedupe_across_manifests(self):
+    def test_specs_merge_and_dedupe_across_manifests(self, tmp_path):
         from repro.resilience.resume import zoo_specs_from_manifest
 
         first = FailureManifest(
@@ -172,8 +173,14 @@ class TestMultiManifest:
         second = FailureManifest(
             "g2", [self._zoo_failure("a", 0), self._zoo_failure("c", 2)]
         )
-        specs = zoo_specs_from_manifest([first, second])
-        assert [s.repetition for s in specs] == [0, 1, 2]  # "a" deduped
+        # Manifests persisted by the durable work queue grids once ran
+        # through record cells that burned their lease budget as kind
+        # "quarantine"; a resume still rebuilds them.
+        queued = FailureManifest(
+            "g3", [self._zoo_failure("d", 3, kind="quarantine")]
+        ).save(tmp_path / "queued.json")
+        specs = zoo_specs_from_manifest([first, second, queued])
+        assert [s.repetition for s in specs] == [0, 1, 2, 3]  # "a" deduped
 
     def test_resume_merged_manifests_with_no_zoo_cells_raises(self, tmp_path):
         from repro.resilience import resume_zoo

@@ -56,6 +56,8 @@ class TestRegistryEntries:
     def test_register_get_engine_keys(self, registry):
         assert registry.keys() == ["cnn0/wt@0.5", "cnn1/wt@0.5"]
         entry = registry.get("cnn0/wt@0.5")
+        assert registry.get("cnn0/wt@0.50") is entry
+        assert registry.get(ModelKey("cnn0", "wt", 0.5)) is entry
         assert entry.engine.pad == "fixed"
         assert registry.engine("cnn0/wt@0.5") is entry.engine
         assert registry.model("cnn0/wt@0.5") is entry.model

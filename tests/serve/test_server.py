@@ -12,7 +12,7 @@ import pytest
 
 from repro import observe
 from repro.infer import engine_for
-from repro.serve import PruneServer, SafetyAnswer, ServeConfig, VirtualClock
+from repro.serve import ModelKey, PruneServer, SafetyAnswer, ServeConfig, VirtualClock
 from repro.serve.safety import SafetyContext
 from tests.serve.conftest import (
     SERVICE_S,
@@ -35,7 +35,9 @@ class TestEndToEnd:
         assert server.pending == 0
 
     def test_coalescing_three_requests_one_batch(self, server, rng):
-        responses = [server.submit(KEY0, images_for(rng, rows=2)) for _ in range(3)]
+        # Every spelling of one model's key queues under its canonical key.
+        keys = (KEY0, "cnn0/wt@0.50", ModelKey("cnn0", "wt", 0.5))
+        responses = [server.submit(key, images_for(rng, rows=2)) for key in keys]
         server.run_until_idle()
         assert [r.status for r in responses] == ["ok"] * 3
         metrics = server.metrics()
@@ -157,8 +159,22 @@ class TestValidation:
             server.submit(KEY0, np.zeros((0, 3, 8, 8), dtype=np.float32))
 
     def test_unknown_model_raises_at_submit(self, server, rng):
-        with pytest.raises(KeyError, match="unknown model"):
+        with pytest.raises(KeyError, match=r"unknown model.*cnn0/wt@0\.5"):
             server.submit("ghost/wt@0.1", images_for(rng))
+
+    def test_serving_canonical_keys_parses_no_key(self, server, rng, monkeypatch):
+        parsed = []
+        parse = ModelKey.parse.__func__
+
+        def counting_parse(cls, text):
+            parsed.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(ModelKey, "parse", classmethod(counting_parse))
+        responses = [server.submit(key, images_for(rng)) for key in (KEY0, KEY1) * 3]
+        server.run_until_idle()
+        assert [r.status for r in responses] == ["ok"] * 6
+        assert parsed == []
 
     def test_integer_images_are_coerced_to_float(self, server):
         response = server.submit(KEY0, np.zeros((1, 3, 8, 8), dtype=np.int64))

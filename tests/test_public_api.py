@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.analysis",
     "repro.experiments",
     "repro.parallel",
-    "repro.queue",
     "repro.observe",
     "repro.serve",
     "repro.utils",
