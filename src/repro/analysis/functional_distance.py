@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.autograd import table
 from repro.data.noise import add_uniform_noise
 from repro.infer import engine_for
 from repro.nn.module import Module
 from repro.utils.rng import as_rng
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def predictions_and_softmax(
@@ -37,7 +32,7 @@ def predictions_and_softmax(
     mid-eval can no longer leave ``model`` stuck in eval mode.
     """
     logits = engine_for(model).logits(images, batch_size=batch_size)
-    probs = _softmax(logits)
+    probs = table.KERNELS["softmax"]((logits,), {"axis": 1})
     return logits.argmax(axis=1), probs
 
 

@@ -8,6 +8,9 @@ paper's code base (torchprune).  It provides:
 - elementwise / reduction / shape ops with broadcasting-aware gradients,
 - fused deep-learning kernels (``conv2d``, ``max_pool2d``, ``batch_norm``,
   ``cross_entropy``) implemented with vectorized im2col arithmetic,
+- :mod:`~repro.autograd.table`, the one table of every op's kernels and
+  gradient rule, which the tape and ``repro.infer``'s tracer and plans
+  all run from,
 - :func:`~repro.autograd.gradcheck.gradcheck` for finite-difference
   verification of every op.
 """

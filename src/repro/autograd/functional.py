@@ -1,74 +1,20 @@
-"""Fused deep-learning kernels with hand-written gradients.
+"""Fused deep-learning ops: convolution, pooling, batch norm, losses.
 
-Convolution and pooling use ``sliding_window_view``-based im2col so that the
-heavy lifting happens inside BLAS / vectorized NumPy, per the project's
-performance guidelines.  Batch norm and cross entropy are fused because the
-composed-primitives versions are both slower and less numerically stable.
+Each op validates its inputs and makes one
+:func:`~repro.autograd.tensor.apply` call; the kernels and gradient rules
+live in :mod:`repro.autograd.table`.  Convolution and pooling use
+``sliding_window_view``-based im2col so that the heavy lifting happens
+inside BLAS / vectorized NumPy.  Batch norm and cross entropy are fused
+because the composed-primitives versions are both slower and less
+numerically stable.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.autograd.tensor import Tensor, build, ensure_tensor
-
-# ------------------------------------------------------------------ helpers
-
-
-def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    """Spatial output size of a convolution / pooling window."""
-    out = (size + 2 * padding - kernel) // stride + 1
-    if out <= 0:
-        raise ValueError(
-            f"invalid conv geometry: size={size} kernel={kernel} "
-            f"stride={stride} padding={padding}"
-        )
-    return out
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """Extract convolution patches.
-
-    Returns ``(cols, oh, ow)`` where ``cols`` has shape
-    ``(N * oh * ow, C * kh * kw)``.
-    """
-    n, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (N, C, oh, ow, kh, kw) -> (N, oh, ow, C, kh, kw)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
-
-
-def _col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    padding: int,
-    oh: int,
-    ow: int,
-) -> np.ndarray:
-    """Scatter-add im2col patches back into an image (conv input gradient)."""
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dx = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    # (N*oh*ow, C*kh*kw) -> (N, oh, ow, C, kh, kw) -> (N, C, kh, kw, oh, ow)
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    for i in range(kh):
-        hi = i + stride * oh
-        for j in range(kw):
-            wj = j + stride * ow
-            dx[:, :, i:hi:stride, j:wj:stride] += patches[:, :, i, j]
-    if padding:
-        dx = dx[:, :, padding:-padding, padding:-padding]
-    return dx
-
+from repro.autograd.table import conv_output_size, update_running_stats
+from repro.autograd.tensor import Tensor, apply, ensure_tensor, refuse_trace
 
 # -------------------------------------------------------------- convolution
 
@@ -78,148 +24,61 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     ``weight`` has shape ``(F, C, KH, KW)``; ``bias`` shape ``(F,)``.
     """
-    x, weight = ensure_tensor(x), ensure_tensor(weight)
-    if x.ndim != 4 or weight.ndim != 4:
+    xt, wt = ensure_tensor(x), ensure_tensor(weight)
+    if xt.ndim != 4 or wt.ndim != 4:
         raise ValueError(
-            f"conv2d expects 4-D input/weight, got {x.shape} and {weight.shape}"
+            f"conv2d expects 4-D input/weight, got {xt.shape} and {wt.shape}"
         )
-    n, c, h, w = x.shape
-    f, cw, kh, kw = weight.shape
-    if c != cw:
-        raise ValueError(f"input channels {c} != weight channels {cw}")
-
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
-    wmat = weight.data.reshape(f, -1)
-    out = cols @ wmat.T  # (N*oh*ow, F)
-    if bias is not None:
-        out += ensure_tensor(bias).data
-    out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-
-    parents = (x, weight) if bias is None else (x, weight, ensure_tensor(bias))
-
-    def backward(g):
-        gcols = g.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*oh*ow, F)
-        gw = (gcols.T @ cols).reshape(weight.shape)
-        gx = _col2im(gcols @ wmat, x.shape, kh, kw, stride, padding, oh, ow)
-        if bias is None:
-            return gx, gw
-        return gx, gw, gcols.sum(axis=0)
-
-    return build(out, parents, backward)
+    if xt.shape[1] != wt.shape[1]:
+        raise ValueError(f"input channels {xt.shape[1]} != weight channels {wt.shape[1]}")
+    operands = (x, weight) if bias is None else (x, weight, bias)
+    return apply("conv2d", operands, {"stride": int(stride), "padding": int(padding)})
 
 
 def linear(x, weight, bias=None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` for 2-D ``x``."""
-    x, weight = ensure_tensor(x), ensure_tensor(weight)
-    out = x.data @ weight.data.T
-    if bias is not None:
-        out = out + ensure_tensor(bias).data
-    parents = (x, weight) if bias is None else (x, weight, ensure_tensor(bias))
-
-    def backward(g):
-        gx = g @ weight.data
-        gw = g.T @ x.data
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=0)
-
-    return build(out, parents, backward)
+    operands = (x, weight) if bias is None else (x, weight, bias)
+    return apply("linear", operands)
 
 
 # ------------------------------------------------------------------ pooling
 
 
+def _pool_params(x, kernel_size: int, stride: int | None) -> dict:
+    """Window params of an NCHW pooling op, its geometry validated."""
+    k, s = int(kernel_size), int(stride or kernel_size)
+    _, _, h, w = ensure_tensor(x).shape
+    conv_output_size(h, k, s, 0)
+    conv_output_size(w, k, s, 0)
+    return {"kernel": k, "stride": s}
+
+
 def max_pool2d(x, kernel_size: int, stride: int | None = None) -> Tensor:
-    """Max pooling over NCHW input (no padding)."""
-    x = ensure_tensor(x)
-    k = kernel_size
-    s = stride or k
-    n, c, h, w = x.shape
-    oh = conv_output_size(h, k, s, 0)
-    ow = conv_output_size(w, k, s, 0)
-    windows = sliding_window_view(x.data, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    flat = windows.reshape(n, c, oh, ow, k * k)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        # Convert window-local argmax to absolute (row, col) indices.
-        ki, kj = np.divmod(arg, k)
-        rows = ki + s * np.arange(oh)[None, None, :, None]
-        cols = kj + s * np.arange(ow)[None, None, None, :]
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        if s >= k:  # disjoint windows: argmax cells are unique, so the
-            # unbuffered np.add.at scatter reduces to a plain (much
-            # faster) fancy assignment with identical values.
-            dx[ni, ci, rows, cols] = g
-        else:
-            np.add.at(dx, (ni, ci, rows, cols), g)
-        return (dx,)
-
-    return build(out, (x,), backward)
+    """Max pooling over NCHW input (no padding); the kernel keeps each
+    window's argmax for the backward."""
+    out, _ = apply("max_pool2d_train", (x,), _pool_params(x, kernel_size, stride))
+    return out
 
 
 def avg_pool2d(x, kernel_size: int, stride: int | None = None) -> Tensor:
     """Average pooling over NCHW input (no padding)."""
-    x = ensure_tensor(x)
-    k = kernel_size
-    s = stride or k
-    n, c, h, w = x.shape
-    oh = conv_output_size(h, k, s, 0)
-    ow = conv_output_size(w, k, s, 0)
-    windows = sliding_window_view(x.data, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    out = windows.mean(axis=(-2, -1))
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        g_scaled = g / (k * k)
-        # Broadcasted scatter over all k*k in-window offsets at once: the
-        # (oh, k) row and (ow, k) column grids enumerate every input cell
-        # each output cell averaged over.
-        rows = s * np.arange(oh)[:, None] + np.arange(k)  # (oh, k)
-        cols = s * np.arange(ow)[:, None] + np.arange(k)  # (ow, k)
-        idx = (
-            slice(None),
-            slice(None),
-            rows[:, :, None, None],
-            cols[None, None, :, :],
-        )
-        vals = g_scaled[:, :, :, None, :, None]  # -> (N, C, oh, k, ow, k)
-        if s >= k:  # windows are disjoint: plain fancy assignment suffices
-            dx[idx] = vals
-        else:  # overlapping windows: indices repeat, so accumulate
-            np.add.at(dx, idx, vals)
-        return (dx,)
-
-    return build(out, (x,), backward)
+    return apply("avg_pool2d", (x,), _pool_params(x, kernel_size, stride))
 
 
 def global_avg_pool2d(x) -> Tensor:
     """Mean over spatial dims: (N, C, H, W) -> (N, C)."""
-    x = ensure_tensor(x)
-    n, c, h, w = x.shape
-    out = x.data.mean(axis=(2, 3))
-
-    def backward(g):
-        return (np.broadcast_to(g[:, :, None, None], x.shape) / (h * w),)
-
-    return build(out, (x,), backward)
+    if ensure_tensor(x).ndim != 4:
+        raise ValueError(f"global_avg_pool2d expects 4-D input, got {ensure_tensor(x).shape}")
+    return apply("global_avg_pool2d", (x,))
 
 
 def upsample_nearest2d(x, scale: int) -> Tensor:
     """Nearest-neighbour upsampling of NCHW input by an integer factor."""
-    x = ensure_tensor(x)
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    out = x.data.repeat(scale, axis=2).repeat(scale, axis=3)
-    n, c, h, w = x.shape
-
-    def backward(g):
-        return (g.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5)),)
-
-    return build(out, (x,), backward)
+    if ensure_tensor(x).ndim != 4:
+        raise ValueError(f"upsample_nearest2d expects 4-D input, got {ensure_tensor(x).shape}")
+    return apply("upsample_nearest2d", (x,), {"scale": int(scale)})
 
 
 # --------------------------------------------------------------- batch norm
@@ -241,108 +100,56 @@ def batch_norm(
     inputs.  In training mode batch statistics are used and the running
     buffers are updated in place; in eval mode the running buffers are used.
     """
-    x, gamma, beta = ensure_tensor(x), ensure_tensor(gamma), ensure_tensor(beta)
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-        shape = (1, -1, 1, 1)
-    elif x.ndim == 2:
-        axes = (0,)
-        shape = (1, -1)
-    else:
-        raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.shape}")
-    m = x.size // x.shape[1]
-
-    if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        # Unbiased variance for the running estimate, as torch does.
-        bias_correction = m / max(m - 1, 1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * bias_correction
-    else:
-        mean, var = running_mean, running_var
-
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(shape)) * invstd.reshape(shape)
-    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
-
-    def backward(g):
-        gbeta = g.sum(axis=axes)
-        ggamma = (g * xhat).sum(axis=axes)
-        gxhat = g * gamma.data.reshape(shape)
-        if training:
-            gx = (
-                gxhat
-                - gxhat.mean(axis=axes, keepdims=True)
-                - xhat * (gxhat * xhat).mean(axis=axes, keepdims=True)
-            ) * invstd.reshape(shape)
-        else:
-            gx = gxhat * invstd.reshape(shape)
-        return gx, ggamma, gbeta
-
-    return build(out, (x, gamma, beta), backward)
+    ndim = ensure_tensor(x).ndim
+    if ndim not in (2, 4):
+        raise ValueError(f"batch_norm expects 2-D or 4-D input, got {ensure_tensor(x).shape}")
+    params = {"eps": float(eps), "ndim": ndim}
+    if not training:
+        operands = (x, gamma, beta, running_mean, running_var)
+        inputs = (*map(ensure_tensor, (x, gamma, beta)), running_mean, running_var)
+        return apply("batch_norm", operands, params, inputs)
+    # The kernel reads (x, gamma, beta); a trace also reads the running
+    # buffers and the momentum, to replay the update below.
+    operands = (x, gamma, beta, running_mean, running_var, momentum)
+    out, (_, _, _, mean, var) = apply(
+        "bn_train", operands, params, tuple(map(ensure_tensor, (x, gamma, beta)))
+    )
+    update_running_stats(
+        running_mean, running_var, mean, var, momentum, out.size // out.shape[1]
+    )
+    return out
 
 
 # --------------------------------------------------- softmax / cross-entropy
 
 
 def softmax(x, axis: int = -1) -> Tensor:
-    x = ensure_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return build(out, (x,), backward)
+    return apply("softmax", (x,), {"axis": int(axis)})
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
-    x = ensure_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - logsumexp
-
-    def backward(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return build(out, (x,), backward)
+    return apply("log_softmax", (x,), {"axis": int(axis)})
 
 
 def cross_entropy(logits, targets) -> Tensor:
     """Mean cross-entropy between ``logits (N, K)`` and int ``targets (N,)``."""
-    logits = ensure_tensor(logits)
-    targets = np.asarray(targets.data if isinstance(targets, Tensor) else targets)
-    if targets.ndim != 1 or logits.ndim != 2:
+    lt = ensure_tensor(logits)
+    labels = np.asarray(targets.data if isinstance(targets, Tensor) else targets)
+    if labels.ndim != 1 or lt.ndim != 2:
         raise ValueError(
-            f"expected logits (N, K) and targets (N,), got {logits.shape}, {targets.shape}"
+            f"expected logits (N, K) and targets (N,), got {lt.shape}, {labels.shape}"
         )
-    targets = targets.astype(np.int64)
-    n = logits.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logprobs = shifted - logsumexp
-    loss = -logprobs[np.arange(n), targets].mean()
-
-    def backward(g):
-        grad = np.exp(logprobs)
-        grad[np.arange(n), targets] -= 1.0
-        return (grad * (g / n),)
-
-    return build(np.asarray(loss, dtype=logits.dtype), (logits,), backward)
+    out, _ = apply("cross_entropy", (logits, targets), {}, (lt, labels))
+    return out
 
 
 def dropout(x, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout: scales kept activations by ``1 / (1 - p)``."""
-    x = ensure_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    x = ensure_tensor(x)
     if not training or p == 0.0:
         return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    keep = keep.astype(x.dtype)
-    return build(x.data * keep, (x,), lambda g: (g * keep,))
+    refuse_trace("active dropout is stochastic, not a static plan")
+    keep = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.dtype)
+    return apply("mul", (x, keep), inputs=(x, keep))

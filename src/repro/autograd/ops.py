@@ -1,16 +1,17 @@
 """Primitive differentiable ops and the Tensor operator protocol.
 
-Each op validates inputs, computes the forward value with vectorized NumPy,
-and registers a backward closure via :func:`repro.autograd.tensor.build`.
-Broadcasting is supported everywhere; gradients are reduced back to the
-operand shapes with ``unbroadcast``.
+Each op validates its inputs and makes one :func:`~repro.autograd.tensor.apply`
+call, which runs the op's kernel from :mod:`repro.autograd.table`, links
+the tape and records the op if this thread is tracing.  Broadcasting is
+supported everywhere; the table's gradient rules reduce gradients back to
+the operand shapes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, build, ensure_tensor, unbroadcast
+from repro.autograd.tensor import Tensor, apply, ensure_tensor, refuse_trace
 
 # --------------------------------------------------------------- arithmetic
 
@@ -26,257 +27,133 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def add(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    return build(
-        a.data + b.data,
-        (a, b),
-        lambda g: (unbroadcast(g, a.shape), unbroadcast(g, b.shape)),
-    )
+    return apply("add", (a, b), inputs=_pair(a, b))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    return build(
-        a.data - b.data,
-        (a, b),
-        lambda g: (unbroadcast(g, a.shape), unbroadcast(-g, b.shape)),
-    )
+    return apply("sub", (a, b), inputs=_pair(a, b))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    return build(
-        a.data * b.data,
-        (a, b),
-        lambda g: (unbroadcast(g * b.data, a.shape), unbroadcast(g * a.data, b.shape)),
-    )
+    return apply("mul", (a, b), inputs=_pair(a, b))
 
 
 def div(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    return build(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            unbroadcast(g / b.data, a.shape),
-            unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
+    return apply("div", (a, b), inputs=_pair(a, b))
 
 
 def neg(a) -> Tensor:
-    a = ensure_tensor(a)
-    return build(-a.data, (a,), lambda g: (-g,))
+    return apply("neg", (a,))
 
 
 def power(a, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a scalar exponent."""
-    a = ensure_tensor(a)
     if isinstance(exponent, Tensor):
         raise TypeError("power supports scalar exponents only")
-    exponent = float(exponent)
-    out_data = a.data**exponent
-    return build(out_data, (a,), lambda g: (g * exponent * a.data ** (exponent - 1),))
+    return apply("power", (a,), {"exponent": float(exponent)})
 
 
 def matmul(a, b) -> Tensor:
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    if a.ndim < 1 or b.ndim < 1:
+    """Matrix product with numpy's ``@`` semantics, at any ranks."""
+    if ensure_tensor(a).ndim < 1 or ensure_tensor(b).ndim < 1:
         raise ValueError("matmul requires operands with ndim >= 1")
-
-    def backward(g):
-        if a.ndim == 1 and b.ndim == 1:
-            return g * b.data, g * a.data
-        if b.ndim == 1:
-            return np.outer(g, b.data).reshape(a.shape), a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1)
-        if a.ndim == 1:
-            return g @ b.data.T if b.ndim == 2 else None, np.outer(a.data, g)
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
-
-    return build(a.data @ b.data, (a, b), backward)
+    return apply("matmul", (a, b))
 
 
 # -------------------------------------------------------------- elementwise
 
 
 def exp(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.exp(a.data)
-    return build(out_data, (a,), lambda g: (g * out_data,))
+    return apply("exp", (a,))
 
 
 def log(a) -> Tensor:
-    a = ensure_tensor(a)
-    return build(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return apply("log", (a,))
 
 
 def sqrt(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.sqrt(a.data)
-    return build(out_data, (a,), lambda g: (g / (2.0 * out_data),))
+    return apply("sqrt", (a,))
 
 
 def relu(a) -> Tensor:
-    a = ensure_tensor(a)
-    mask = a.data > 0
-    return build(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return apply("relu", (a,))
 
 
 def tanh(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.tanh(a.data)
-    return build(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
+    return apply("tanh", (a,))
 
 
 def sigmoid(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-    return build(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
+    return apply("sigmoid", (a,))
 
 
 def absolute(a) -> Tensor:
-    a = ensure_tensor(a)
-    return build(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    return apply("abs", (a,))
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise maximum; ties send the gradient to the first operand."""
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    take_a = a.data >= b.data
-    return build(
-        np.where(take_a, a.data, b.data),
-        (a, b),
-        lambda g: (unbroadcast(g * take_a, a.shape), unbroadcast(g * ~take_a, b.shape)),
-    )
+    return apply("maximum", (a, b))
 
 
 def clip(a, low: float, high: float) -> Tensor:
-    a = ensure_tensor(a)
-    inside = (a.data >= low) & (a.data <= high)
-    return build(np.clip(a.data, low, high), (a,), lambda g: (g * inside,))
+    return apply("clip", (a,), {"low": float(low), "high": float(high)})
 
 
 # --------------------------------------------------------------- reductions
 
 
-def _normalize_axis(axis, ndim: int):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = ensure_tensor(a)
-    axis = _normalize_axis(axis, a.ndim)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return build(out_data, (a,), backward)
+    return apply("sum", (a,), {"axis": axis, "keepdims": bool(keepdims)})
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = ensure_tensor(a)
-    axis_n = _normalize_axis(axis, a.ndim)
-    count = (
-        a.size
-        if axis_n is None
-        else int(np.prod([a.shape[ax] for ax in axis_n]))
-    )
-    out_data = a.data.mean(axis=axis_n, keepdims=keepdims)
-
-    def backward(g):
-        if axis_n is not None and not keepdims:
-            g = np.expand_dims(g, axis_n)
-        return (np.broadcast_to(g, a.shape) / count,)
-
-    return build(out_data, (a,), backward)
+    return apply("mean", (a,), {"axis": axis, "keepdims": bool(keepdims)})
 
 
 def tensor_max(a, axis=None, keepdims: bool = False) -> Tensor:
     """Max reduction; gradient splits evenly among tied maxima."""
-    a = ensure_tensor(a)
-    axis_n = _normalize_axis(axis, a.ndim)
-    out_data = a.data.max(axis=axis_n, keepdims=keepdims)
-
-    def backward(g):
-        expanded = out_data
-        if axis_n is not None and not keepdims:
-            expanded = np.expand_dims(out_data, axis_n)
-            g = np.expand_dims(g, axis_n)
-        mask = (a.data == expanded).astype(a.data.dtype)
-        mask /= mask.sum(axis=axis_n, keepdims=True)
-        return (mask * g,)
-
-    return build(out_data, (a,), backward)
+    return apply("max", (a,), {"axis": axis, "keepdims": bool(keepdims)})
 
 
 # --------------------------------------------------------------------- shape
 
 
 def reshape(a, *shape) -> Tensor:
-    a = ensure_tensor(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    out_data = a.data.reshape(shape)
-    return build(out_data, (a,), lambda g: (g.reshape(a.shape),))
+    return apply("reshape", (a,), {"shape": shape})
 
 
 def transpose(a, *axes) -> Tensor:
-    a = ensure_tensor(a)
     if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
         axes = tuple(axes[0])
     if not axes:
-        axes = tuple(reversed(range(a.ndim)))
-    inverse = np.argsort(axes)
-    return build(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+        axes = tuple(reversed(range(ensure_tensor(a).ndim)))
+    return apply("transpose", (a,), {"axes": tuple(axes)})
 
 
 def getitem(a, index) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = a.data[index]
-
-    def backward(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, index, g)
-        return (grad,)
-
-    return build(out_data, (a,), backward)
+    items = index if isinstance(index, tuple) else (index,)
+    if any(isinstance(item, Tensor) for item in items):
+        refuse_trace("tensor-valued indexing is not traceable")
+    return apply("getitem", (a,), {"index": index})
 
 
 def concatenate(tensors, axis: int = 0) -> Tensor:
-    tensors = [ensure_tensor(t) for t in tensors]
+    tensors = tuple(tensors)
     if not tensors:
         raise ValueError("need at least one tensor to concatenate")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return build(out_data, tuple(tensors), backward)
+    return apply("concatenate", tensors, {"axis": int(axis)})
 
 
 def pad2d(a, padding: int) -> Tensor:
     """Zero-pad the last two (spatial) dims of an NCHW tensor."""
-    a = ensure_tensor(a)
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
     if padding == 0:
-        return a
-    p = padding
-    widths = [(0, 0)] * (a.ndim - 2) + [(p, p), (p, p)]
-    out_data = np.pad(a.data, widths)
-    sl = (Ellipsis, slice(p, -p), slice(p, -p))
-    return build(out_data, (a,), lambda g: (g[sl],))
+        return ensure_tensor(a)
+    return apply("pad2d", (a,), {"padding": int(padding)})
 
 
 # ----------------------------------------------------- patch Tensor methods

@@ -1,53 +1,96 @@
 """The :class:`Tensor` class: a NumPy array with reverse-mode autodiff.
 
-Gradients flow through a dynamically built tape.  Each op attaches to its
-output a ``_backward`` closure that scatters the output gradient into the
-inputs; ``Tensor.backward`` walks the tape in reverse topological order.
+Every op runs through :func:`apply`, which runs the op's forward kernel
+from the op table (:mod:`repro.autograd.table`), links the output into
+the tape and, if this thread is tracing, records it.  A tape entry
+holds the op's name, params, inputs and value, never its output tensor,
+so a finished tape holds no reference cycle and dies by refcount.
+``Tensor.backward`` walks the tape in reverse topological order and runs
+each entry's gradient rule on the spot, through the table's kernels.
 
-Graph construction can be disabled globally with the :func:`no_grad` context
-manager, which evaluation loops use to avoid tape overhead.
+Grad mode (:func:`no_grad`) and the trace recorder (:func:`recording`)
+are per thread: ops on one thread neither build another's tape nor land
+in another's trace.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, Sequence
+import threading
+from typing import Iterator
 
 import numpy as np
 
-_GRAD_ENABLED = True
+from repro.autograd.table import EAGER, KERNELS, RULES
+
+
+class _ThreadState(threading.local):
+    grad = True  # grad mode
+    recorder = None  # the trace recording this thread's ops, if any
+
+
+_state = _ThreadState()
 
 
 def is_grad_enabled() -> bool:
-    """Whether ops currently record a backward graph."""
-    return _GRAD_ENABLED
+    """Whether ops on this thread currently record a backward graph."""
+    return _state.grad
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
     """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    prev = _state.grad
+    _state.grad = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _state.grad = prev
 
 
-def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` by summing broadcast dimensions."""
-    if grad.shape == shape:
-        return grad
-    # Sum away leading dims added by broadcasting.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum dims that were 1 in the original shape but expanded by broadcast.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+@contextlib.contextmanager
+def recording(recorder) -> Iterator[None]:
+    """Hand every op this thread applies to ``recorder.record`` too.
+
+    ``recorder.record(op, operands, params, out)`` sees each op's operands
+    exactly as its caller passed them, its traced params and its output;
+    ``recorder.refuse(reason)`` is called, and must raise, before an op
+    that no static graph can hold (active dropout) runs.
+    """
+    prev = _state.recorder
+    _state.recorder = recorder
+    try:
+        yield
+    finally:
+        _state.recorder = prev
+
+
+def refuse_trace(reason: str) -> None:
+    """Let a trace active on this thread refuse the op about to run."""
+    recorder = _state.recorder
+    if recorder is not None:
+        recorder.refuse(reason)
+
+
+class _Entry:
+    """One tape entry: what ``backward`` needs to run ``op``'s rule."""
+
+    __slots__ = ("op", "params", "inputs", "args", "value")
+
+    def __init__(self, op, params, inputs, args, value):
+        self.op = op
+        self.params = params
+        self.inputs = inputs  # Tensor or raw operand, by position
+        self.args = args  # the arrays the forward kernel read
+        self.value = value  # the forward kernel's value (tuple or array)
+
+    def backward(self, grad: np.ndarray) -> None:
+        inputs = self.inputs
+        need = [isinstance(t, Tensor) and t.requires_grad for t in inputs]
+        for pos, g in RULES[self.op](
+            EAGER, self.args, self.value, grad, self.params, need
+        ):
+            inputs[pos].accumulate_grad(g)
 
 
 class Tensor:
@@ -63,7 +106,7 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_tape", "name")
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
@@ -75,8 +118,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[], None] | None = None
-        self._prev: tuple[Tensor, ...] = ()
+        self._tape: _Entry | None = None
         self.name = name
 
     # ------------------------------------------------------------------ info
@@ -147,14 +189,15 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._prev:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+            if node._tape is not None:
+                for parent in node._tape.inputs:
+                    if isinstance(parent, Tensor) and id(parent) not in visited:
+                        stack.append((parent, False))
 
         self.grad = grad if self.grad is None else self.grad + grad
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node._tape is not None and node.grad is not None:
+                node._tape.backward(node.grad)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad`` (creating it if absent)."""
@@ -202,42 +245,36 @@ def ensure_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def build(
-    data: np.ndarray,
-    parents: Sequence[Tensor],
-    backward: Callable[[np.ndarray], Iterable[np.ndarray | None]],
-) -> Tensor:
-    """Construct an op output tensor.
+def apply(op: str, operands: tuple, params: dict | None = None, inputs=None):
+    """Run ``op``'s forward kernel on this thread and return its value.
 
-    ``backward`` maps the output gradient to one gradient (or ``None``) per
-    parent, in order.  When grad mode is off or no parent requires grad the
-    output is a detached leaf.
+    ``operands`` are the op's operands exactly as the caller passed them
+    (what a trace records), ``params`` its params (a trace records them as
+    passed, without the state the kernel keeps in them), and ``inputs``
+    the operands as the kernel reads them, by default each coerced to a
+    :class:`Tensor`; a raw array among them is a constant.  The output
+    links into the tape when grad mode is on and an input requires grad.
+    A tuple-valued kernel's output is its first element; ``apply`` then
+    returns ``(output, kernel value)``.
     """
-    requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires)
+    params = {} if params is None else params
+    if inputs is None:
+        inputs = [v if isinstance(v, Tensor) else Tensor(v) for v in operands]
+    args = [t.data if isinstance(t, Tensor) else t for t in inputs]
+    recorder = _state.recorder
+    traced = None if recorder is None else dict(params)
+    requires = False
+    if _state.grad:
+        for t in inputs:
+            if isinstance(t, Tensor) and t.requires_grad:
+                requires = True
+                params["_save"] = True
+                break
+    value = KERNELS[op](args, params)
+    tup = isinstance(value, tuple)
+    out = Tensor(value[0] if tup else value, requires_grad=requires)
     if requires:
-        out._prev = tuple(parents)
-
-        def _backward() -> None:
-            grads = backward(out.grad)
-            for parent, g in zip(out._prev, grads):
-                if parent.requires_grad and g is not None:
-                    parent.accumulate_grad(g)
-
-        out._backward = _backward
-    return out
-
-
-def free_tape(*roots: Tensor) -> None:
-    """Unlink the finished tape below ``roots`` so that it dies by refcount.
-
-    Every op's backward closure holds its own output, so a tape is one big
-    reference cycle: left alone, a whole step's activations stay resident
-    until the cyclic garbage collector happens to run, and the peak memory
-    of a process that keeps stepping depends on when that is.
-    """
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        stack.extend(node._prev)
-        node._prev, node._backward = (), None
+        out._tape = _Entry(op, params, inputs, args, value)
+    if recorder is not None:
+        recorder.record(op, operands, traced, out)
+    return (out, value) if tup else out

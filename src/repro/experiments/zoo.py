@@ -331,20 +331,26 @@ def get_parent_state(spec: ZooSpec, scale: ExperimentScale) -> dict[str, np.ndar
     finished training while we waited), so racing builders produce exactly
     one training run.
     """
+    return _parent_state(spec, scale)[0]
+
+
+def _parent_state(spec: ZooSpec, scale: ExperimentScale):
+    """``(state, loaded)``: :func:`get_parent_state`'s weights, and whether
+    they came from a cached artifact that loaded (not from training)."""
     parent_spec = _parent_of(spec)
     path = artifact_path(parent_spec, scale)
     state = _load_cached_state(path)
     if state is not None:
-        return state
+        return state, True
     with artifact_lock(path):
         # Under the lock it is safe to unlink a corrupt archive: no
         # concurrent publisher can be mid-replace on this path.
         state = _load_cached_state(path, unlink_corrupt=True)
         if state is not None:
-            return state
+            return state, True
         state = _train_parent(parent_spec, scale)
         save_state(path, state, {"spec": parent_spec.key(scale)})
-    return state
+    return state, False
 
 
 def _train_prune_run(spec: ZooSpec, scale: ExperimentScale) -> PruneRun:
@@ -374,21 +380,27 @@ def get_prune_run(spec: ZooSpec, scale: ExperimentScale) -> PruneRun:
     """A complete PRUNERETRAIN run (cached, concurrency-safe); requires
     ``method_name``.  Same fast-path / lock / re-check discipline as
     :func:`get_parent_state`."""
+    return _prune_run(spec, scale)[0]
+
+
+def _prune_run(spec: ZooSpec, scale: ExperimentScale):
+    """``(run, loaded)``: :func:`get_prune_run`'s run, and whether it came
+    from a cached artifact that loaded (not from pruning and retraining)."""
     if spec.method_name is None:
         raise ValueError("get_prune_run needs a method_name")
     path = artifact_path(spec, scale)
     run = _load_cached_run(path)
     if run is not None:
         verify_runtime.verify_loaded_run(run, path.name)
-        return run
+        return run, True
     with artifact_lock(path):
         run = _load_cached_run(path, unlink_corrupt=True)
         if run is not None:
             verify_runtime.verify_loaded_run(run, path.name)
-            return run
+            return run, True
         run = _train_prune_run(spec, scale)
         run.save(path)
-    return run
+    return run, False
 
 
 # ----------------------------------------------------------- zoo building
@@ -397,15 +409,16 @@ def get_prune_run(spec: ZooSpec, scale: ExperimentScale) -> PruneRun:
 def _build_cell(payload: tuple[ZooSpec, ExperimentScale]) -> CellTiming:
     """Materialize one artifact (worker-side); must stay module-level."""
     spec, scale = payload
-    path = artifact_path(spec, scale)
-    cached = path.exists()
     kind = "parent" if spec.method_name is None else "prune_run"
     t0 = time.perf_counter()
-    with observe.span("zoo_cell", key=spec.key(scale), kind=kind, cached=cached):
+    with observe.span("zoo_cell", key=spec.key(scale), kind=kind) as sp:
+        # A cell is a cache hit only if its artifact loaded: a torn or
+        # corrupt one that is rebuilt is a miss.
         if spec.method_name is None:
-            get_parent_state(spec, scale)
+            _, cached = _parent_state(spec, scale)
         else:
-            get_prune_run(spec, scale)
+            _, cached = _prune_run(spec, scale)
+        sp.set(cached=cached)
     observe.incr("zoo.cache_hit" if cached else "zoo.cache_miss")
     return CellTiming(
         key=spec.key(scale), seconds=time.perf_counter() - t0, cached=cached

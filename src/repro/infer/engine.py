@@ -38,6 +38,7 @@ import zlib
 import numpy as np
 
 from repro import observe
+from repro.autograd import table
 from repro.autograd.tensor import Tensor, no_grad
 from repro.infer.plan import CompiledPlan, CompileError
 from repro.infer.trace import TraceError, trace
@@ -414,9 +415,7 @@ class InferenceEngine(HeldModel):
     ) -> np.ndarray:
         """Softmax probabilities over axis 1 (stable shifted exp)."""
         logits = self.logits(images, batch_size=batch_size)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return table.KERNELS["softmax"]((logits,), {"axis": 1})
 
     def compiled_for(self, images: np.ndarray) -> bool:
         """True if a validated plan exists for this batch's row shape."""

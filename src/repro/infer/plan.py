@@ -1,5 +1,9 @@
 """Compile a traced :class:`~repro.infer.trace.Graph` into a flat numpy plan.
 
+Every step runs a kernel of the op table (:mod:`repro.autograd.table`):
+exact plans run the table unchanged, fast plans the table with the fast
+conv route and the BatchNorm fold kernels over it (:data:`KERNELS`).
+
 A plan runs at any row count: every runtime kernel reads its row count
 from its input, and a traced ``reshape`` that keeps its leading dimension
 records it as ``-1``.  The engine checks at compile time that a graph
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.functional import _im2col
+from repro.autograd import table
 from repro.infer.trace import _LEAF_OPS, Graph, Node
 from repro.nn.module import Module
 
@@ -50,119 +54,8 @@ class CompileError(RuntimeError):
 
 
 # ------------------------------------------------------------ runtime kernels
-# Each kernel takes (args: list[np.ndarray | float], params: dict) and must
-# reproduce the corresponding autograd op's forward values exactly.
-
-
-def _k_add(args, params):
-    return args[0] + args[1]
-
-
-def _k_sub(args, params):
-    return args[0] - args[1]
-
-
-def _k_mul(args, params):
-    return args[0] * args[1]
-
-
-def _k_div(args, params):
-    return args[0] / args[1]
-
-
-def _k_matmul(args, params):
-    return args[0] @ args[1]
-
-
-def _k_maximum(args, params):
-    a, b = args
-    return np.where(a >= b, a, b)  # tie/NaN semantics of ops.maximum
-
-
-def _k_neg(args, params):
-    return -args[0]
-
-
-def _k_power(args, params):
-    return args[0] ** params["exponent"]
-
-
-def _k_exp(args, params):
-    return np.exp(args[0])
-
-
-def _k_log(args, params):
-    return np.log(args[0])
-
-
-def _k_sqrt(args, params):
-    return np.sqrt(args[0])
-
-
-def _k_relu(args, params):
-    x = args[0]
-    return np.where(x > 0, x, 0.0)  # matches ops.relu bit-for-bit
-
-
-def _k_tanh(args, params):
-    return np.tanh(args[0])
-
-
-def _k_sigmoid(args, params):
-    return 1.0 / (1.0 + np.exp(-args[0]))
-
-
-def _k_abs(args, params):
-    return np.abs(args[0])
-
-
-def _k_clip(args, params):
-    return np.clip(args[0], params["low"], params["high"])
-
-
-def _k_getitem(args, params):
-    return args[0][params["index"]]
-
-
-def _k_reshape(args, params):
-    return args[0].reshape(params["shape"])
-
-
-def _k_transpose(args, params):
-    return args[0].transpose(params["axes"])
-
-
-def _k_sum(args, params):
-    axis = _norm_axis(params["axis"], args[0].ndim)
-    return args[0].sum(axis=axis, keepdims=params["keepdims"])
-
-
-def _k_mean(args, params):
-    axis = _norm_axis(params["axis"], args[0].ndim)
-    return args[0].mean(axis=axis, keepdims=params["keepdims"])
-
-
-def _k_max(args, params):
-    axis = _norm_axis(params["axis"], args[0].ndim)
-    return args[0].max(axis=axis, keepdims=params["keepdims"])
-
-
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def _k_concatenate(args, params):
-    return np.concatenate(args, axis=params["axis"])
-
-
-def _k_pad2d(args, params):
-    x, p = args[0], params["padding"]
-    widths = [(0, 0)] * (x.ndim - 2) + [(p, p), (p, p)]
-    return np.pad(x, widths)
+# Fast overrides of op-table kernels: each takes (args, params) like the
+# table's and computes the same op within the plan's parity budget.
 
 
 def _k_conv2d(args, params):
@@ -272,80 +165,6 @@ def _conv_per_offset(c, f, padded_px, out_px, stride, taps, cols_bytes):
     )
 
 
-def _k_conv2d_exact(args, params):
-    """Reference convolution: the module's im2col arithmetic, any shape.
-
-    ``CompiledPlan(exact=True)`` routes every conv through this so
-    differential oracles compare bit-identical floating-point orderings
-    instead of budgeting for the fast schedules' accumulation-order
-    rounding.
-    """
-    x, w = args[0], args[1]
-    f = w.shape[0]
-    n = x.shape[0]
-    cols, oh, ow = _im2col(
-        x, w.shape[2], w.shape[3], params["stride"], params["padding"]
-    )
-    out = cols @ w.reshape(f, -1).T
-    if len(args) == 3:
-        out += args[2]
-    return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-
-
-def _k_batch_norm_exact(args, params):
-    """Reference eval BatchNorm: the module's arithmetic, same rounding.
-
-    Only used by ``CompiledPlan(exact=True)``, which skips the BN rewrite
-    entirely — ``bn_affine``'s refactored ``x·scale + shift`` is algebraically
-    identical but rounds differently.
-    """
-    x, gamma, beta, mean, var = args
-    shape = (1, -1, 1, 1) if params["ndim"] == 4 else (1, -1)
-    invstd = 1.0 / np.sqrt(var + params["eps"])
-    xhat = (x - mean.reshape(shape)) * invstd.reshape(shape)
-    return gamma.reshape(shape) * xhat + beta.reshape(shape)
-
-
-def _k_linear(args, params):
-    out = args[0] @ args[1].T
-    if len(args) == 3:
-        out = out + args[2]
-    return out
-
-
-def _k_max_pool2d(args, params):
-    x, k, s = args[0], params["kernel"], params["stride"]
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return windows[:, :, ::s, ::s].max(axis=(-2, -1))
-
-
-def _k_avg_pool2d(args, params):
-    x, k, s = args[0], params["kernel"], params["stride"]
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return windows[:, :, ::s, ::s].mean(axis=(-2, -1))
-
-
-def _k_global_avg_pool2d(args, params):
-    return args[0].mean(axis=(2, 3))
-
-
-def _k_upsample_nearest2d(args, params):
-    s = params["scale"]
-    return args[0].repeat(s, axis=2).repeat(s, axis=3)
-
-
-def _k_softmax(args, params):
-    x, axis = args[0], params["axis"]
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _k_log_softmax(args, params):
-    x, axis = args[0], params["axis"]
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 # BatchNorm fold constants.  Computed in float64 and cast back to the host
 # dtype once, so the folded path stays within the logit-parity budget even
 # for ill-conditioned running statistics.
@@ -388,53 +207,17 @@ def _k_bn_affine(args, params):
     return x * scale + shift
 
 
+# The fast eval table: the op table with the fast conv route and the
+# BatchNorm fold kernels.  Exact plans run ``table.KERNELS`` unchanged.
 KERNELS = {
-    "add": _k_add,
-    "sub": _k_sub,
-    "mul": _k_mul,
-    "div": _k_div,
-    "matmul": _k_matmul,
-    "maximum": _k_maximum,
-    "neg": _k_neg,
-    "power": _k_power,
-    "exp": _k_exp,
-    "log": _k_log,
-    "sqrt": _k_sqrt,
-    "relu": _k_relu,
-    "tanh": _k_tanh,
-    "sigmoid": _k_sigmoid,
-    "abs": _k_abs,
-    "clip": _k_clip,
-    "getitem": _k_getitem,
-    "reshape": _k_reshape,
-    "transpose": _k_transpose,
-    "sum": _k_sum,
-    "mean": _k_mean,
-    "max": _k_max,
-    "concatenate": _k_concatenate,
-    "pad2d": _k_pad2d,
+    **table.KERNELS,
     "conv2d": _k_conv2d,
-    "linear": _k_linear,
-    "max_pool2d": _k_max_pool2d,
-    "avg_pool2d": _k_avg_pool2d,
-    "global_avg_pool2d": _k_global_avg_pool2d,
-    "upsample_nearest2d": _k_upsample_nearest2d,
-    "softmax": _k_softmax,
-    "log_softmax": _k_log_softmax,
     "bn_scale": _k_bn_scale,
     "bn_fold_weight": _k_bn_fold_weight,
     "bn_fold_bias": _k_bn_fold_bias,
     "bn_affine_scale": _k_bn_affine_scale,
     "bn_affine_shift": _k_bn_affine_shift,
     "bn_affine": _k_bn_affine,
-}
-
-# Reference table for ``exact=True`` plans: the module's own conv and
-# eval-BatchNorm arithmetic.
-KERNELS_EXACT = {
-    **KERNELS,
-    "conv2d": _k_conv2d_exact,
-    "batch_norm": _k_batch_norm_exact,
 }
 
 
@@ -698,7 +481,7 @@ class CompiledPlan:
         ]
         self._full_steps = _schedule(
             nodes, runtime_steps, {graph.output},
-            KERNELS_EXACT if exact else KERNELS, inplace=not exact,
+            table.KERNELS if exact else KERNELS, inplace=not exact,
         )
         self._steps = self._full_steps
         self._runtime_slots = runtime_steps

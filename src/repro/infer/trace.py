@@ -1,20 +1,15 @@
 """Graph capture: run one forward and record every tensor op.
 
-The autograd stack funnels all tensor math through module-level functions
-(``repro.autograd.ops`` / ``repro.autograd.functional``) that are *also*
-installed as :class:`Tensor` methods.  Tracing therefore patches
-
-- the ``Tensor`` class attributes (dunders and named methods), and
-- the ``functional`` / ``ops`` module attributes that layers look up at
-  call time (``F.conv2d``, ``ops.concatenate``, ...),
-
-runs the model once, and restores everything in a ``finally``.  Each
-wrapper calls the original op (so the traced forward is bit-identical to a
-normal one) and appends a :class:`Node` to the graph.  :func:`trace` runs
+Every op the autograd stack runs goes through one call,
+:func:`repro.autograd.tensor.apply`, which hands it to the recorder
+active on its thread.  Tracing installs a :class:`_Tracer` as this
+thread's recorder (:func:`~repro.autograd.tensor.recording`), runs the
+model once and uninstalls it; nothing is patched, and ops on other
+threads are neither recorded nor refused.  The traced forward is the
+plain forward, bit for bit: the recorder only looks.  :func:`trace` runs
 the eval forward under :func:`no_grad`; :func:`trace_training` keeps the
-tape on and, once the patches are gone, runs the backward too, so the
-traced step doubles as the reference its gradient plan is validated
-against.
+tape on and, once recording stops, runs the backward too, so the traced
+step doubles as the reference its gradient plan is validated against.
 
 Leaves are classified by identity against the model's registered state:
 parameters and buffers become named leaves re-resolved at plan refresh
@@ -33,9 +28,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.autograd import functional as F
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor, free_tape, no_grad
+from repro.autograd.tensor import Tensor, no_grad, recording
 from repro.nn.module import Module
 
 
@@ -106,6 +99,10 @@ class TrainGraph:
 
 # Leaf ops of traced graphs: slots bound from outside, never runtime steps.
 _LEAF_OPS = frozenset({"input", "param", "buffer", "value", "label"})
+
+# Applied ops the recorder does not record as one node of their own name
+# and params (see :meth:`_Tracer.record`).
+_SPECIAL_OPS = frozenset({"max_pool2d_train", "cross_entropy", "bn_train", "reshape"})
 
 
 class _Tracer:
@@ -199,263 +196,81 @@ class _Tracer:
             raise TraceError("loss consumes the labels under two different shapes")
         return self.label_index
 
+    def refuse(self, reason: str) -> None:
+        raise TraceError(reason)
 
-def _check_static_index(index) -> None:
-    items = index if isinstance(index, tuple) else (index,)
-    for item in items:
-        if isinstance(item, Tensor):
-            raise TraceError("tensor-valued indexing is not traceable")
+    def record(self, op: str, operands: tuple, params: dict, out: Tensor) -> None:
+        """Record one applied op (see :func:`~repro.autograd.tensor.recording`).
 
+        Most ops become one node of their name over their operands.  The
+        tuple-valued ops of a training trace (``bn_train``, max pooling,
+        ``cross_entropy``) become their tuple node plus a ``tuple_get`` of
+        the value: their backward reads the saved intermediates, and the
+        running-stat update reads ``bn_train``'s batch statistics.
+        """
+        if op in _SPECIAL_OPS:
+            if op == "max_pool2d_train":
+                if self.training:
+                    self._tuple_node(op, (self.ref(operands[0]),), params, out)
+                    return
+                op = "max_pool2d"  # an eval plan needs no argmax
+            elif op == "cross_entropy":
+                if not self.training:
+                    raise TraceError("cross_entropy is only traced in training mode")
+                inputs = (self.ref(operands[0]), self.ref_label(operands[1]))
+                self._tuple_node(op, inputs, params, out)
+                return
+            elif op == "bn_train":
+                self._record_bn_train(operands, params, out)
+                return
+            else:  # reshape
+                a = operands[0]
+                if a.ndim and out.ndim and out.shape[0] == a.shape[0] and out.size:
+                    # Keeping the leading dimension keeps each row's elements
+                    # in that row, so the reshape holds at any row count
+                    # (Flatten).
+                    params = {"shape": (-1,) + out.shape[1:]}
+                else:
+                    params = {"shape": out.shape}
+        inputs = tuple([self.ref(v) for v in operands])
+        self.bind(out, self.emit(op, inputs, params, shape=out.shape))
 
-def _record(tracer: _Tracer, op: str, operands: tuple, params: dict, out: Tensor) -> Tensor:
-    tracer.bind(
-        out,
-        tracer.emit(
-            op, tuple(tracer.ref(v) for v in operands), params, shape=out.shape
-        ),
-    )
-    return out
+    def _tuple_node(self, op: str, inputs: tuple, params: dict, out: Tensor) -> int:
+        node = self.emit(op, inputs, params)
+        self.bind(out, self.emit("tuple_get", (node,), {"index": 0}, shape=out.shape))
+        return node
 
-
-def _patched_attrs(tracer: _Tracer) -> dict[tuple[Any, str], Any]:
-    """Build the {(owner, attr): wrapper} patch table for one trace."""
-    # Capture the originals up front: the wrappers below must never go
-    # through the (patched) module attributes or they would recurse.
-    orig_getitem, orig_reshape, orig_transpose = ops.getitem, ops.reshape, ops.transpose
-    orig_power, orig_clip, orig_pad2d = ops.power, ops.clip, ops.pad2d
-    orig_concatenate = ops.concatenate
-    orig_conv2d, orig_linear, orig_batch_norm = F.conv2d, F.linear, F.batch_norm
-    orig_max_pool, orig_avg_pool = F.max_pool2d, F.avg_pool2d
-    orig_gap, orig_upsample = F.global_avg_pool2d, F.upsample_nearest2d
-    orig_softmax, orig_log_softmax, orig_dropout = F.softmax, F.log_softmax, F.dropout
-    orig_cross_entropy = F.cross_entropy
-
-    def binary(op_name, orig, swap=False):
-        def wrapper(a, b):
-            operands = (b, a) if swap else (a, b)
-            return _record(tracer, op_name, operands, {}, orig(a, b))
-
-        return wrapper
-
-    def unary(op_name, orig):
-        def wrapper(a):
-            return _record(tracer, op_name, (a,), {}, orig(a))
-
-        return wrapper
-
-    def reduction(op_name, orig):
-        def wrapper(a, axis=None, keepdims=False):
-            params = {"axis": axis, "keepdims": bool(keepdims)}
-            return _record(tracer, op_name, (a,), params, orig(a, axis, keepdims))
-
-        return wrapper
-
-    def power(a, exponent):
-        out = orig_power(a, exponent)
-        return _record(tracer, "power", (a,), {"exponent": float(exponent)}, out)
-
-    def getitem(a, index):
-        _check_static_index(index)
-        return _record(tracer, "getitem", (a,), {"index": index}, orig_getitem(a, index))
-
-    def reshape(a, *shape):
-        out = orig_reshape(a, *shape)
-        recorded = out.shape
-        if a.ndim and out.ndim and out.shape[0] == a.shape[0] and out.size:
-            # Keeping the leading dimension keeps each row's elements in
-            # that row, so the reshape holds at any row count (Flatten).
-            recorded = (-1,) + out.shape[1:]
-        return _record(tracer, "reshape", (a,), {"shape": recorded}, out)
-
-    def transpose(a, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        norm = tuple(axes) if axes else tuple(reversed(range(a.ndim)))
-        return _record(tracer, "transpose", (a,), {"axes": norm}, orig_transpose(a, *axes))
-
-    def clip(a, low, high):
-        out = orig_clip(a, low, high)
-        return _record(tracer, "clip", (a,), {"low": float(low), "high": float(high)}, out)
-
-    def pad2d(a, padding):
-        out = orig_pad2d(a, padding)
-        if padding == 0:  # identity: ops.pad2d returns its argument
-            return out
-        return _record(tracer, "pad2d", (a,), {"padding": int(padding)}, out)
-
-    def concatenate(tensors, axis=0):
-        tensors = list(tensors)
-        out = orig_concatenate(tensors, axis=axis)
-        tracer.bind(out, tracer.emit(
-            "concatenate",
-            tuple(tracer.ref(t) for t in tensors),
-            {"axis": int(axis)},
-            shape=out.shape,
-        ))
-        return out
-
-    def conv2d(x, weight, bias=None, stride=1, padding=0):
-        out = orig_conv2d(x, weight, bias, stride=stride, padding=padding)
-        operands = (x, weight) if bias is None else (x, weight, bias)
-        params = {"stride": int(stride), "padding": int(padding)}
-        return _record(tracer, "conv2d", operands, params, out)
-
-    def linear(x, weight, bias=None):
-        out = orig_linear(x, weight, bias)
-        operands = (x, weight) if bias is None else (x, weight, bias)
-        return _record(tracer, "linear", operands, {}, out)
-
-    def batch_norm(x, gamma, beta, running_mean, running_var, training,
-                   momentum=0.1, eps=1e-5):
-        if training and not tracer.training:
+    def _record_bn_train(self, operands: tuple, params: dict, out: Tensor) -> None:
+        """A train-mode BatchNorm: the ``bn_train`` tuple node
+        ``(out, xhat, invstd, mean, var)`` and the running-stat update the
+        engine replays from its batch mean and variance."""
+        x, gamma, beta, running_mean, running_var, momentum = operands
+        if not self.training:
             raise TraceError("training-mode batch_norm mutates running stats")
-        if training:
-            # The original op mutates the running buffers in place;
-            # trace_training snapshots and restores them around the trace.
-            out = orig_batch_norm(x, gamma, beta, running_mean, running_var,
-                                  training=True, momentum=momentum, eps=eps)
-            for buf in (running_mean, running_var):
-                if id(buf) not in tracer.buffer_names:
-                    raise TraceError(
-                        "batch_norm running stats are not registered buffers"
-                    )
-            bn = tracer.emit(
-                "bn_train",
-                (tracer.ref(x), tracer.ref(gamma), tracer.ref(beta)),
-                {"eps": float(eps), "ndim": x.ndim},
-            )
-            tracer.bind(
-                out, tracer.emit("tuple_get", (bn,), {"index": 0}, shape=out.shape)
-            )
-            stat_shape = (out.shape[1],)
-            tracer.bn_updates.append({
-                "mean": tracer.emit("tuple_get", (bn,), {"index": 3}, shape=stat_shape),
-                "var": tracer.emit("tuple_get", (bn,), {"index": 4}, shape=stat_shape),
-                "running_mean": tracer.buffer_names[id(running_mean)],
-                "running_var": tracer.buffer_names[id(running_var)],
-                "momentum": float(momentum),
-                # Element count behind each channel statistic; fixes the
-                # unbiased-variance correction of the running update.
-                "m": int(np.prod(out.shape) // out.shape[1]),
-            })
-            return out
-        out = orig_batch_norm(x, gamma, beta, running_mean, running_var,
-                              training=False, momentum=momentum, eps=eps)
-        operands = (x, gamma, beta, running_mean, running_var)
-        return _record(tracer, "batch_norm", operands, {"eps": float(eps), "ndim": x.ndim}, out)
-
-    def max_pool2d(x, kernel_size, stride=None):
-        out = orig_max_pool(x, kernel_size, stride)
-        params = {"kernel": int(kernel_size), "stride": int(stride or kernel_size)}
-        if tracer.training:
-            # Keep the argmax indices: the backward scatter needs them.
-            node = tracer.emit(
-                "max_pool2d_train", (tracer.ref(x),), dict(params)
-            )
-            tracer.bind(
-                out, tracer.emit("tuple_get", (node,), {"index": 0}, shape=out.shape)
-            )
-            return out
-        return _record(tracer, "max_pool2d", (x,), params, out)
-
-    def cross_entropy(logits, targets):
-        out = orig_cross_entropy(logits, targets)
-        if not tracer.training:
-            raise TraceError("cross_entropy is only traced in training mode")
-        node = tracer.emit(
-            "cross_entropy", (tracer.ref(logits), tracer.ref_label(targets)), {}
-        )
-        tracer.bind(
-            out, tracer.emit("tuple_get", (node,), {"index": 0}, shape=out.shape)
-        )
-        return out
-
-    def avg_pool2d(x, kernel_size, stride=None):
-        out = orig_avg_pool(x, kernel_size, stride)
-        params = {"kernel": int(kernel_size), "stride": int(stride or kernel_size)}
-        return _record(tracer, "avg_pool2d", (x,), params, out)
-
-    def global_avg_pool2d(x):
-        return _record(tracer, "global_avg_pool2d", (x,), {}, orig_gap(x))
-
-    def upsample_nearest2d(x, scale):
-        out = orig_upsample(x, scale)
-        return _record(tracer, "upsample_nearest2d", (x,), {"scale": int(scale)}, out)
-
-    def softmax(x, axis=-1):
-        return _record(tracer, "softmax", (x,), {"axis": int(axis)}, orig_softmax(x, axis))
-
-    def log_softmax(x, axis=-1):
-        return _record(tracer, "log_softmax", (x,), {"axis": int(axis)}, orig_log_softmax(x, axis))
-
-    def dropout(x, p, rng, training=True):
-        if training and p > 0.0:
-            raise TraceError("active dropout is stochastic, not a static plan")
-        return orig_dropout(x, p, rng, training=training)  # identity in eval
-
-    return {
-        (Tensor, "__add__"): binary("add", ops.add),
-        (Tensor, "__radd__"): binary("add", lambda a, b: ops.add(b, a), swap=True),
-        (Tensor, "__sub__"): binary("sub", ops.sub),
-        (Tensor, "__rsub__"): binary("sub", lambda a, b: ops.sub(b, a), swap=True),
-        (Tensor, "__mul__"): binary("mul", ops.mul),
-        (Tensor, "__rmul__"): binary("mul", lambda a, b: ops.mul(b, a), swap=True),
-        (Tensor, "__truediv__"): binary("div", ops.div),
-        (Tensor, "__rtruediv__"): binary("div", lambda a, b: ops.div(b, a), swap=True),
-        (Tensor, "__matmul__"): binary("matmul", ops.matmul),
-        (Tensor, "__neg__"): unary("neg", ops.neg),
-        (Tensor, "__pow__"): power,
-        (Tensor, "__getitem__"): getitem,
-        (Tensor, "sum"): reduction("sum", ops.tensor_sum),
-        (Tensor, "mean"): reduction("mean", ops.tensor_mean),
-        (Tensor, "max"): reduction("max", ops.tensor_max),
-        (Tensor, "reshape"): reshape,
-        (Tensor, "transpose"): transpose,
-        (Tensor, "exp"): unary("exp", ops.exp),
-        (Tensor, "log"): unary("log", ops.log),
-        (Tensor, "sqrt"): unary("sqrt", ops.sqrt),
-        (Tensor, "relu"): unary("relu", ops.relu),
-        (Tensor, "tanh"): unary("tanh", ops.tanh),
-        (Tensor, "sigmoid"): unary("sigmoid", ops.sigmoid),
-        (Tensor, "abs"): unary("abs", ops.absolute),
-        (ops, "maximum"): binary("maximum", ops.maximum),
-        (ops, "clip"): clip,
-        (ops, "pad2d"): pad2d,
-        (ops, "concatenate"): concatenate,
-        (ops, "getitem"): getitem,
-        (F, "conv2d"): conv2d,
-        (F, "linear"): linear,
-        (F, "batch_norm"): batch_norm,
-        (F, "max_pool2d"): max_pool2d,
-        (F, "avg_pool2d"): avg_pool2d,
-        (F, "global_avg_pool2d"): global_avg_pool2d,
-        (F, "upsample_nearest2d"): upsample_nearest2d,
-        (F, "softmax"): softmax,
-        (F, "log_softmax"): log_softmax,
-        (F, "dropout"): dropout,
-        (F, "cross_entropy"): cross_entropy,
-    }
-
-
-@contextmanager
-def _patched(tracer: _Tracer) -> Iterator[None]:
-    table = _patched_attrs(tracer)
-    saved = {key: getattr(owner, attr) for key in table for owner, attr in [key]}
-    try:
-        for (owner, attr), wrapper in table.items():
-            setattr(owner, attr, wrapper)
-        yield
-    finally:
-        for (owner, attr), original in saved.items():
-            setattr(owner, attr, original)
+        for buf in (running_mean, running_var):
+            if id(buf) not in self.buffer_names:
+                raise TraceError("batch_norm running stats are not registered buffers")
+        inputs = (self.ref(x), self.ref(gamma), self.ref(beta))
+        bn = self._tuple_node("bn_train", inputs, params, out)
+        stat_shape = (out.shape[1],)
+        self.bn_updates.append({
+            "mean": self.emit("tuple_get", (bn,), {"index": 3}, shape=stat_shape),
+            "var": self.emit("tuple_get", (bn,), {"index": 4}, shape=stat_shape),
+            "running_mean": self.buffer_names[id(running_mean)],
+            "running_var": self.buffer_names[id(running_var)],
+            "momentum": float(momentum),
+            # Element count behind each channel statistic; fixes the
+            # unbiased-variance correction of the running update.
+            "m": int(np.prod(out.shape) // out.shape[1]),
+        })
 
 
 def trace(model: Module, sample: np.ndarray) -> Graph:
     """Capture ``model``'s eval-mode forward on ``sample`` as a :class:`Graph`.
 
     The model's train/eval state is restored on exit, also on exception.
-    Tracing is not thread-safe (it patches class/module attributes), which
-    matches the process-parallel execution model of the rest of the stack.
+    Only this thread's ops are recorded, so other threads may run (and
+    trace) concurrently, on other models.
     """
     tracer = _Tracer(model)
     inp = Tensor(sample)
@@ -463,7 +278,7 @@ def trace(model: Module, sample: np.ndarray) -> Graph:
     was_training = model.training
     model.eval()
     try:
-        with no_grad(), _patched(tracer):
+        with no_grad(), recording(tracer):
             out = model(inp)
     finally:
         model.train(was_training)
@@ -514,39 +329,33 @@ def trace_training(
     """Capture a train-mode step as a :class:`TrainGraph`.
 
     Runs ``loss_fn(model(sample), labels)`` once with the model in train
-    mode under the tracing patches, with the tape on, then runs the
-    backward once the patches are gone, and records the step's loss,
-    logits, gradients and running-stat buffers in the graph.  The trace is
-    side-effect free (see :func:`sandboxed_step`), and the tape is
-    unlinked before returning, so its activations die with the call.
+    mode, recording, with the tape on, then runs the backward once
+    recording stops, and records the step's loss, logits, gradients and
+    running-stat buffers in the graph.  The trace is side-effect free (see
+    :func:`sandboxed_step`), and its tape dies with the call.
     """
     tracer = _Tracer(model, training=True)
     tracer.label_value = np.asarray(labels)
     inp = Tensor(sample)
     tracer.bind(inp, tracer.emit("input", shape=inp.shape))
     with sandboxed_step(model) as params:
-        try:
-            with _patched(tracer):
-                logits = model(inp)
-                loss = loss_fn(logits, tracer.label_value)
-            for tensor, what in ((logits, "logits"), (loss, "loss")):
-                if not isinstance(tensor, Tensor):
-                    raise TraceError(
-                        f"{what} is {type(tensor).__name__}, not a Tensor"
-                    )
-                if tracer.var_of.get(id(tensor)) is None:
-                    raise TraceError(f"{what} was not produced by traced ops")
-            loss.backward()
-            # Each grad is a fresh array the restore below lets go of.
-            grads = {name: p.grad for name, p in params}
-            buffers = dict(model.named_buffers())
-            stat_buffers = {
-                name: buffers[name].copy()
-                for upd in tracer.bn_updates
-                for name in (upd["running_mean"], upd["running_var"])
-            }
-        finally:
-            free_tape(*(t for t in tracer.keep if isinstance(t, Tensor)))
+        with recording(tracer):
+            logits = model(inp)
+            loss = loss_fn(logits, tracer.label_value)
+        for tensor, what in ((logits, "logits"), (loss, "loss")):
+            if not isinstance(tensor, Tensor):
+                raise TraceError(f"{what} is {type(tensor).__name__}, not a Tensor")
+            if tracer.var_of.get(id(tensor)) is None:
+                raise TraceError(f"{what} was not produced by traced ops")
+        loss.backward()
+        # Each grad is a fresh array the restore below lets go of.
+        grads = {name: p.grad for name, p in params}
+        buffers = dict(model.named_buffers())
+        stat_buffers = {
+            name: buffers[name].copy()
+            for upd in tracer.bn_updates
+            for name in (upd["running_mean"], upd["running_var"])
+        }
     return TrainGraph(
         nodes=tracer.nodes,
         shapes=tracer.shapes,

@@ -3,8 +3,8 @@
 :func:`train_engine_for` is the seam ``Trainer.train`` goes through.  The
 engine traces one train-mode step per (input shape, label shape), derives
 a static backward (see :mod:`repro.infer.grad`), and then serves every
-batch of that shape from the flat plan: no per-batch tape, closures, or
-Python autograd traversal.  The tape path remains as fallback — for
+batch of that shape from the flat plan: no per-batch tape or Python
+autograd traversal.  The tape path remains as fallback — for
 ``REPRO_TRAINC=0``, untraceable models (active dropout, tensor indexing),
 or a plan that fails its compile-time validation.
 
@@ -16,7 +16,8 @@ Correctness machinery:
   running-stat updates must agree (bitwise in exact mode, within a
   scale-aware tolerance in fast mode).  The validated run is that batch's
   step, so a compile costs one tape step and one plan run.  This relies
-  on the tracer wrappers computing exactly what the plain forward does;
+  on the traced step being the plain one: the tracer only records what
+  the op table's kernels compute, and
   ``tests/infer/test_grad_plan.py::test_traced_step_is_the_tape_step``
   holds every registry architecture to that, bitwise;
 - parameters and buffers are bound *live* on every run (SGD mutates them
@@ -26,7 +27,8 @@ Correctness machinery:
   only leaf values and a plan serves the model across the whole prune →
   retrain loop;
 - BatchNorm running statistics are updated by the engine after each plan
-  run, replaying ``functional.batch_norm``'s in-place arithmetic exactly;
+  run, through the same ``update_running_stats`` as
+  ``functional.batch_norm``;
 - the optimizer consumes plan gradients through :meth:`SGD.apply`, which
   shares the momentum state and arithmetic of ``step`` without mutating
   the (possibly shared) gradient buffers.
@@ -40,7 +42,8 @@ import weakref
 import numpy as np
 
 from repro import observe
-from repro.autograd.tensor import Tensor, free_tape
+from repro.autograd.table import update_running_stats
+from repro.autograd.tensor import Tensor
 from repro.infer.engine import HeldModel, share_engine
 from repro.infer.grad import GradPlan
 from repro.infer.plan import CompileError
@@ -96,16 +99,13 @@ def _grad_close(got, want, exact: bool) -> bool:
 
 
 def _update_running_stats(buffers: dict, bn_updates: list[dict], stats) -> None:
-    """Replay ``functional.batch_norm``'s in-place running-stat update on
-    the named arrays in ``buffers`` from a plan's batch ``(mean, var)``s."""
+    """Run ``functional.batch_norm``'s in-place running-stat update on the
+    named arrays in ``buffers`` from a plan's batch ``(mean, var)``s."""
     for upd, (mean, var) in zip(bn_updates, stats):
-        momentum, m = upd["momentum"], upd["m"]
-        rm = buffers[upd["running_mean"]]
-        rm *= 1.0 - momentum
-        rm += momentum * mean
-        rv = buffers[upd["running_var"]]
-        rv *= 1.0 - momentum
-        rv += momentum * var * (m / max(m - 1, 1))
+        update_running_stats(
+            buffers[upd["running_mean"]], buffers[upd["running_var"]],
+            mean, var, upd["momentum"], upd["m"],
+        )
 
 
 class TrainEngine(HeldModel):
@@ -145,9 +145,7 @@ class TrainEngine(HeldModel):
             stat_buffers = {
                 name: buf.copy() for name, buf in self.model.named_buffers()
             }
-            result = float(loss.data), logits.data.copy(), grads, stat_buffers
-            free_tape(loss)
-            return result
+            return float(loss.data), logits.data.copy(), grads, stat_buffers
 
     def _validate(self, plan: GradPlan, result, reference) -> None:
         """Raise :exc:`CompileError` unless ``result``, a ``plan.run`` output
@@ -204,14 +202,12 @@ class TrainEngine(HeldModel):
     # ------------------------------------------------------------- fallback
 
     def _tape_step(self, x: np.ndarray, y: np.ndarray):
-        """The Module/tape loop body, verbatim, with the finished tape
-        unlinked so that the step's activations die by refcount."""
+        """The Module/tape loop body, verbatim."""
         logits = self.model(Tensor(x))
         loss = self.loss_fn(logits, y)
         self.optimizer.zero_grad()
         loss.backward()
         self.optimizer.step()
-        free_tape(loss)
         return float(loss.data), logits.data
 
     # ------------------------------------------------------------------ API

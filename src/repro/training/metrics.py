@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import table
+
 
 def accuracy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy from raw logits.
@@ -22,9 +24,9 @@ def accuracy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
 def cross_entropy_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross entropy from raw logits, matching ``nn.CrossEntropyLoss``.
 
-    Reproduces the autograd loss bit-for-bit (same shift/logsumexp order
-    and the same ``(N, K, H, W) -> (N*H*W, K)`` dense flattening) so the
-    no-grad eval path reports identical losses.
+    Runs the op table's cross-entropy kernel after the same ``(N, K, H, W)
+    -> (N*H*W, K)`` dense flattening, so the no-grad eval path reports the
+    autograd loss bit for bit.
     """
     logits = np.asarray(logits)
     targets = np.asarray(targets)
@@ -36,11 +38,8 @@ def cross_entropy_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
         raise ValueError(
             f"expected logits (N, K) and targets (N,), got {logits.shape}, {targets.shape}"
         )
-    targets = targets.astype(np.int64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logprobs = shifted - logsumexp
-    return float(-logprobs[np.arange(logits.shape[0]), targets].mean())
+    loss, _ = table.KERNELS["cross_entropy"]((logits, targets), {})
+    return float(loss)
 
 
 def confusion_matrix(

@@ -74,6 +74,16 @@ class TestMatmulGrads:
         a, b = randn_tensor(rng, 2, 3, 4), randn_tensor(rng, 2, 4, 5)
         gradcheck(lambda a, b: (a @ b).sum(), [a, b])
 
+    def test_1d_times_batched(self, rng):
+        a, b = randn_tensor(rng, 3), randn_tensor(rng, 2, 3, 4)
+        (a @ b).sum().backward()
+        assert a.grad.shape == (3,) and b.grad.shape == (2, 3, 4)
+        gradcheck(lambda a, b: (a @ b).sum(), [a, b])
+
+    def test_batched_times_1d(self, rng):
+        a, b = randn_tensor(rng, 2, 3, 4), randn_tensor(rng, 4)
+        gradcheck(lambda a, b: (a @ b).sum(), [a, b])
+
 
 class TestElementwiseGrads:
     def test_exp(self, rng):

@@ -89,7 +89,7 @@ class TestBackward:
         x = Tensor([1.0])  # requires_grad False
         y = x * 2.0
         assert not y.requires_grad
-        assert y._backward is None
+        assert y._tape is None
 
 
 class TestGradMode:
@@ -98,7 +98,7 @@ class TestGradMode:
         with no_grad():
             y = x * 2.0
         assert not y.requires_grad
-        assert y._prev == ()
+        assert y._tape is None
 
     def test_no_grad_restores_on_exception(self):
         with pytest.raises(RuntimeError):

@@ -8,8 +8,10 @@ import os
 import numpy as np
 import pytest
 
+from repro import observe
 from repro.experiments import SMOKE, ZooSpec
 from repro.experiments import zoo
+from repro.observe import load_report
 from repro.utils.serialization import load_state, save_state
 
 MICRO = SMOKE.with_(
@@ -123,6 +125,27 @@ class TestCorruptArtifactRecovery:
         np.testing.assert_allclose(run1.test_errors, run2.test_errors)
         for key in run1.parent_state:
             np.testing.assert_array_equal(run1.parent_state[key], run2.parent_state[key])
+
+    def test_rebuilt_artifact_is_a_cache_miss(self, tmp_path, monkeypatch):
+        """A cell whose torn artifact is rebuilt counts as a miss, in the
+        ledger and in its timing; the untouched cells are hits."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "zoo"))
+        specs = [ZooSpec("cifar", "resnet20", m, 0) for m in ("wt", "ft")]
+        zoo.build_zoo(specs, MICRO, jobs=1)
+        torn = zoo.artifact_path(SPEC, MICRO)
+        torn.write_bytes(torn.read_bytes()[:64])
+
+        ledger = observe.configure(dir=tmp_path / "obs")
+        try:
+            timing = zoo.build_zoo(specs, MICRO, jobs=1)
+        finally:
+            observe.shutdown()
+        counters = load_report(ledger).counters
+        assert counters.get("zoo.cache_miss", 0) == 1
+        assert counters.get("zoo.cache_hit", 0) == len(timing.cells) - 1 == 2
+        cached = {cell.key: cell.cached for cell in timing.cells}
+        assert cached.pop(SPEC.key(MICRO)) is False
+        assert all(cached.values())
 
 
 class TestBuildZoo:

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.infer import GradPlan, TrainEngine, trace_training
 from repro.infer.grad import _k_conv_bn_relu, _k_conv_bn_relu_bwd
 from repro.models.registry import available_models, build_model
@@ -70,6 +71,29 @@ class TestGradPlanParity:
         assert set(grads) == set(want)
         for name in want:
             np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+
+    def test_conv_backward_reuses_forward_columns(self, batch, monkeypatch):
+        """One im2col per conv per step, on the tape and in an exact plan:
+        the weight gradient reads the columns its forward kept."""
+        from repro.autograd import table
+        from repro.autograd.tensor import Tensor
+
+        x, y = batch
+        model = make_tiny_cnn()
+        loss_fn = CrossEntropyLoss()
+        plan = GradPlan(trace_training(model, loss_fn, x, y), model, exact=True)
+        n_convs = sum(isinstance(m, nn.Conv2d) for m in model.modules())
+        calls = []
+        im2col = table._im2col
+        monkeypatch.setattr(
+            table, "_im2col", lambda *args: calls.append(1) or im2col(*args)
+        )
+        model.train()
+        loss_fn(model(Tensor(x)), y).backward()
+        assert len(calls) == n_convs
+        calls.clear()
+        plan.run(x, y)
+        assert len(calls) == n_convs
 
     def test_plan_is_repeatable(self, batch):
         """Scratch/in-place buffer reuse must not leak state across runs."""

@@ -6,8 +6,9 @@ import pytest
 
 from repro import nn
 from repro.autograd import functional as F
+from repro.autograd.table import _k_conv2d_exact
 from repro.infer import CompiledPlan, trace
-from repro.infer.plan import _VIEW_OPS, _conv_per_offset, _k_conv2d, _k_conv2d_exact
+from repro.infer.plan import _VIEW_OPS, _conv_per_offset, _k_conv2d
 from repro.models.registry import build_model
 from repro.pruning import build_method
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, functional as F
-from repro.autograd.tensor import unbroadcast
+from repro.autograd.table import unbroadcast
 import pytest
 
 pytestmark = pytest.mark.tier2
