@@ -32,15 +32,16 @@ def main() -> None:
     model = make_model(spec, suite, scale)
     normalizer = suite.normalizer()
 
-    # Potential per distribution.
+    # Potential per distribution: one sweep swaps each checkpoint in once
+    # and evaluates it on every distribution.
     rows = []
     potentials = {}
     datasets = {"nominal": suite.test_set(), "shifted (CIFAR10.1 role)": suite.shifted_test_set()}
     datasets.update(
         {c: suite.corrupted_test_set(c, scale.severity) for c in DEPLOYMENT_SHIFTS}
     )
-    for name, dataset in datasets.items():
-        curve = evaluate_curve(run, model, dataset, normalizer)
+    curves = evaluate_curve(run, model, list(datasets.values()), normalizer)
+    for name, curve in zip(datasets, curves):
         potentials[name] = curve.potential(DELTA)
         rows.append(
             [

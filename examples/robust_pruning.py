@@ -24,14 +24,9 @@ DELTA = 0.005
 
 
 def potentials_for(run, model, suite, corruptions, severity):
-    normalizer = suite.normalizer()
-    out = {}
-    for name in corruptions:
-        curve = evaluate_curve(
-            run, model, suite.corrupted_test_set(name, severity), normalizer
-        )
-        out[name] = curve.potential(DELTA)
-    return out
+    datasets = [suite.corrupted_test_set(name, severity) for name in corruptions]
+    curves = evaluate_curve(run, model, datasets, suite.normalizer())
+    return {name: curve.potential(DELTA) for name, curve in zip(corruptions, curves)}
 
 
 def main() -> None:

@@ -39,7 +39,7 @@ def main() -> None:
         run.restore_parent(model)
         parent = evaluate_model(model, test.images, test.labels, normalizer)
 
-        curve = evaluate_curve(run, model, test, normalizer)
+        [curve] = evaluate_curve(run, model, [test], normalizer)
         potential = curve.potential(DELTA)
 
         # Metrics at the largest commensurate checkpoint (or the first).

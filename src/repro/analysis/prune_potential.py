@@ -5,12 +5,18 @@ The prune potential P(θ, D) is the maximal prune ratio whose pruned network
 unpruned parent *on distribution D*.  With the paper's indicator loss this
 is: the largest achieved ratio whose test error on D exceeds the parent's
 error on D by at most δ (δ = 0.5% by default); 0 if no ratio qualifies.
+
+:func:`evaluate_curve` measures the curves of one prune run on several
+distributions at once: it swaps each network (the parent, then every
+checkpoint) into the model once and evaluates it on every distribution,
+so a grid of D distributions refreshes the compiled plan once per
+network, not D times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,40 +67,51 @@ def prune_potential_from_curve(
 def evaluate_curve(
     run: PruneRun,
     model: Module,
-    dataset: Dataset,
+    datasets: Sequence[Dataset],
     normalizer: Normalizer | None = None,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> PruneAccuracyCurve:
-    """Evaluate the parent and every checkpoint of ``run`` on ``dataset``.
+) -> list[PruneAccuracyCurve]:
+    """Evaluate the parent and every checkpoint of ``run`` on each of
+    ``datasets``; returns one curve per dataset, in order.
 
-    ``model`` must share the run's architecture; checkpoint weights are
-    swapped in during the sweep and the caller's state is restored on
-    exit (also on exception).  ``transform`` applies to normalized inputs
-    (noise injection).
+    ``model`` must share the run's architecture.  The sweep is
+    checkpoint-outer: each state (the parent, then every checkpoint) is
+    swapped into ``model`` once and evaluated on every dataset, and the
+    caller's state is restored on exit (also on exception).  ``transform``
+    applies to normalized inputs (noise injection); it is called per
+    batch, state by state, so a transform drawing from its own rng draws
+    in a different order than one call per dataset would.
     """
 
-    # One engine serves the whole checkpoint sweep; each load_state_dict
-    # changes the model's state signature, which re-densifies the cached
-    # plans instead of recompiling them.
+    # One engine serves the whole sweep; each load_state_dict changes the
+    # model's state signature, which re-densifies the cached plans once
+    # per state instead of recompiling them.
     engine = engine_for(model)
 
-    def error_of(state: dict) -> float:
+    def errors_of(state: dict) -> list[float]:
         model.load_state_dict(state)
-        return evaluate_model(
-            engine, dataset.images, dataset.labels, normalizer, transform=transform
-        )["error"]
+        return [
+            evaluate_model(
+                engine, d.images, d.labels, normalizer, transform=transform
+            )["error"]
+            for d in datasets
+        ]
 
     with preserve_state(model):
-        parent_error = error_of(run.parent_state)
-        errors = np.array([error_of(c.state) for c in run.checkpoints])
-    curve = PruneAccuracyCurve(
-        distribution=dataset.name,
-        ratios=run.ratios,
-        errors=errors,
-        parent_error=parent_error,
-    )
-    verify_runtime.verify_curve(curve)
-    return curve
+        parent_errors = errors_of(run.parent_state)
+        errors = [errors_of(c.state) for c in run.checkpoints]
+    curves = [
+        PruneAccuracyCurve(
+            distribution=dataset.name,
+            ratios=run.ratios,
+            errors=np.array([row[i] for row in errors]),
+            parent_error=parent_errors[i],
+        )
+        for i, dataset in enumerate(datasets)
+    ]
+    for curve in curves:
+        verify_runtime.verify_curve(curve)
+    return curves
 
 
 def prune_potential(
@@ -106,5 +123,5 @@ def prune_potential(
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Definition 1 for the networks of ``run`` on ``dataset``."""
-    curve = evaluate_curve(run, model, dataset, normalizer, transform)
+    [curve] = evaluate_curve(run, model, [dataset], normalizer, transform)
     return curve.potential(delta)

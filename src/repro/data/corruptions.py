@@ -4,7 +4,9 @@ Sixteen corruptions in the paper's four categories, each with 5 severity
 levels.  All functions take a float32 batch ``(N, C, H, W)`` in [0, 1] and
 return a corrupted batch in [0, 1]; randomness is deterministic given the
 seed.  Implementations follow Hendrycks & Dietterich (2019) scaled to small
-images, built on numpy + scipy.ndimage only.
+images, built on numpy + scipy.ndimage only.  scipy is imported by the
+functions that use it, so importing this module (which every ``repro``
+process does) does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
-from scipy.fft import dctn, idctn
 
 from repro.utils.rng import as_rng
 
@@ -116,6 +116,8 @@ def _disk_kernel(radius: float) -> np.ndarray:
 
 def _spatial_convolve(x: np.ndarray, kernel2d: np.ndarray) -> np.ndarray:
     """Convolve the two spatial axes of an NCHW batch with one 2-D kernel."""
+    from scipy import ndimage
+
     kernel = kernel2d[None, None]
     return ndimage.convolve(x, kernel, mode="nearest")
 
@@ -128,6 +130,8 @@ def defocus_blur(x, severity, rng):
 
 @_register("glass_blur")
 def glass_blur(x, severity, rng):
+    from scipy import ndimage
+
     delta, iterations = _sev(
         [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)], severity
     )
@@ -165,6 +169,8 @@ def motion_blur(x, severity, rng):
 
 @_register("zoom_blur")
 def zoom_blur(x, severity, rng):
+    from scipy import ndimage
+
     factors = _sev(
         [
             (1.0, 1.04),
@@ -205,6 +211,8 @@ def snow(x, severity, rng):
 
 
 def _smooth_noise(rng, shape, sigma) -> np.ndarray:
+    from scipy import ndimage
+
     noise = rng.random(shape).astype(np.float32)
     noise = ndimage.gaussian_filter(noise, sigma=(0, 0, sigma, sigma), mode="wrap")
     lo = noise.min(axis=(2, 3), keepdims=True)
@@ -214,6 +222,8 @@ def _smooth_noise(rng, shape, sigma) -> np.ndarray:
 
 @_register("frost")
 def frost(x, severity, rng):
+    from scipy import ndimage
+
     amount = _sev([0.20, 0.30, 0.40, 0.50, 0.60], severity)
     n, c, h, w = x.shape
     crystal = _smooth_noise(rng, (n, 1, h, w), sigma=1.0)
@@ -252,6 +262,8 @@ def contrast(x, severity, rng):
 
 @_register("elastic")
 def elastic(x, severity, rng):
+    from scipy import ndimage
+
     alpha, sigma = _sev(
         [(1.0, 1.6), (1.5, 1.6), (2.0, 1.4), (2.5, 1.2), (3.0, 1.0)], severity
     )
@@ -271,6 +283,8 @@ def elastic(x, severity, rng):
 
 @_register("pixelate")
 def pixelate(x, severity, rng):
+    from scipy import ndimage
+
     factor = _sev([1.2, 1.5, 2.0, 2.7, 3.5], severity)
     n, c, h, w = x.shape
     small_h, small_w = max(int(h / factor), 2), max(int(w / factor), 2)
@@ -283,6 +297,8 @@ def pixelate(x, severity, rng):
 @_register("jpeg")
 def jpeg(x, severity, rng):
     """JPEG-style block-DCT quantization (4x4 blocks for small images)."""
+    from scipy.fft import dctn, idctn
+
     q = _sev([0.06, 0.10, 0.15, 0.22, 0.30], severity)
     block = 4
     n, c, h, w = x.shape

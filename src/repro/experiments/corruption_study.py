@@ -1,10 +1,14 @@
 """Corruption experiments: per-corruption prune potential (Fig. 6b/6e, 7,
 Appendix D.2/D.3) and the difference in excess error (Fig. 6c/6f, D.5).
 
-The (repetition × distribution) evaluation grid is embarrassingly
-parallel, so it runs through :func:`~repro.experiments.grid.run_grid`;
-``jobs`` (or ``REPRO_NUM_WORKERS``) controls the fan-out and ``jobs=1``
-reproduces the serial path bit for bit.
+The (repetition × distribution) evaluation grid runs through
+:func:`~repro.experiments.grid.run_grid`, one cell per (repetition, block
+of distributions) (:func:`~repro.experiments.grid.distribution_blocks`):
+a cell swaps each checkpoint into its model once and evaluates it on
+every distribution of its block.  The caller builds every distribution's
+dataset before the fan-out.  ``jobs`` (or ``REPRO_NUM_WORKERS``) controls
+the fan-out; every distribution's curve is bitwise the same at any
+``jobs``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from repro import observe
 from repro.analysis.prune_potential import PruneAccuracyCurve, evaluate_curve
 from repro.analysis.regression import bootstrap_slope_ci, ols_slope_through_origin
 from repro.data.corruptions import available_corruptions
-from repro.data.datasets import Dataset, TaskSuite
+from repro.data.datasets import Dataset, Normalizer, TaskSuite
 from repro.experiments.config import ExperimentScale
-from repro.experiments.grid import run_grid
+from repro.experiments.grid import distribution_blocks, run_grid
 from repro.experiments.memo import memoize
 from repro.experiments.zoo import (
     ZooSpec,
@@ -33,8 +37,8 @@ from repro.experiments.zoo import (
 from repro.parallel import CellTiming, GridTiming
 from repro.pruning import canonical_spec
 
-# A distribution spec is a compact, picklable recipe for one evaluation
-# set: ("nominal",), ("shifted",), or ("corruption", name, severity).
+# A distribution spec is a compact recipe for one evaluation set:
+# ("nominal",), ("shifted",), or ("corruption", name, severity).
 DistributionSpec = tuple
 
 
@@ -65,40 +69,56 @@ def _distribution_dataset(suite: TaskSuite, dist_spec: DistributionSpec) -> Data
     raise ValueError(f"unknown distribution spec {dist_spec!r}")
 
 
-def corruption_datasets(
-    suite: TaskSuite,
-    scale: ExperimentScale,
-    corruptions: Sequence[str] | None = None,
-    include_shifted: bool = True,
-) -> dict[str, Dataset]:
-    """Named evaluation distributions as materialized datasets."""
-    return {
-        name: _distribution_dataset(suite, spec)
-        for name, spec in distribution_specs(suite, scale, corruptions, include_shifted)
-    }
-
-
-def _curve_cell(payload) -> tuple[int, str, PruneAccuracyCurve, CellTiming]:
-    """Evaluate one (repetition, distribution) grid cell (worker-side)."""
-    task_name, model_name, method_name, scale, robust, rep, name, dist_spec = payload
+def _block_cell(payload) -> tuple[list[PruneAccuracyCurve], CellTiming]:
+    """Evaluate one (repetition, block of distributions) grid cell
+    (worker-side): each checkpoint is swapped in once for the block."""
+    spec, scale, key, datasets, normalizer = payload
     t0 = time.perf_counter()
-    with observe.span(
-        "eval_cell", grid="corruption", rep=rep, distribution=name
-    ):
-        suite = cached_suite(task_name, scale)
-        dataset = _distribution_dataset(suite, dist_spec)
-        spec = ZooSpec(task_name, model_name, method_name, rep, robust)
+    with observe.span("eval_cell", rep=spec.repetition, distributions=len(datasets)):
+        suite = cached_suite(spec.task_name, scale)
         run = get_prune_run(spec, scale)
         model = scoped_model(spec, suite, scale)
-        curve = evaluate_curve(run, model, dataset, suite.normalizer())
+        curves = evaluate_curve(run, model, datasets, normalizer)
     observe.incr("eval.cells")
-    timing = CellTiming(
-        key=f"rep{rep}/{name}", seconds=time.perf_counter() - t0
-    )
-    return rep, name, curve, timing
+    return curves, CellTiming(key=key, seconds=time.perf_counter() - t0)
 
 
-def _evaluate_grid(
+def evaluate_grid(
+    label: str,
+    specs: Sequence[ZooSpec],
+    names: Sequence[str],
+    datasets: Sequence[Sequence[Dataset]],
+    scale: ExperimentScale,
+    normalizer: Normalizer | None,
+    **knobs,
+) -> tuple[dict[tuple[int, int], PruneAccuracyCurve], GridTiming]:
+    """The prune-accuracy curves of each repetition's zoo spec
+    ``specs[rep]`` on its ``datasets[rep]`` (named ``names``, which key
+    the cells), by ``(rep, index into names)``.
+
+    One cell per (repetition, block of distributions)
+    (:func:`~repro.experiments.grid.distribution_blocks`).  The caller
+    builds the datasets before the fan-out, so forked workers inherit
+    them.  A cell that died under ``on_error="collect"`` leaves no entry
+    for any distribution of its block (see
+    :func:`~repro.experiments.grid.run_grid`).
+    """
+    blocks = distribution_blocks(names, len(specs), knobs.get("jobs"))
+    cells = [
+        (specs[rep], key, (specs[rep], scale, key, datasets[rep][block], normalizer))
+        for rep, block, key in blocks
+    ]
+    results, timing = run_grid(label, _block_cell, cells, scale, **knobs)
+    curves = {
+        (rep, i): curve
+        for (rep, block, _), result in zip(blocks, results)
+        if result is not None
+        for i, curve in enumerate(result[0], start=block.start)
+    }
+    return curves, timing
+
+
+def _distribution_grid(
     label: str,
     task_name: str,
     model_name: str,
@@ -107,22 +127,20 @@ def _evaluate_grid(
     robust: bool,
     named_specs: list[tuple[str, DistributionSpec]],
     **knobs,
-) -> tuple[dict[tuple[int, str], PruneAccuracyCurve], GridTiming]:
-    """The (repetition × distribution) curves of one zoo spec, by
-    ``(rep, name)``; a cell that died under ``on_error="collect"`` has
-    no entry (see :func:`~repro.experiments.grid.run_grid`)."""
-    cells = [
-        (
-            ZooSpec(task_name, model_name, method_name, rep, robust),
-            f"rep{rep}/{name}",
-            (task_name, model_name, method_name, scale, robust, rep, name, dist_spec),
-        )
+) -> tuple[dict[tuple[int, int], PruneAccuracyCurve], GridTiming]:
+    """:func:`evaluate_grid` over named distribution specs.  Every
+    dataset is built here, before the fan-out, so a bad spec raises in
+    the caller."""
+    suite = cached_suite(task_name, scale)
+    datasets = [_distribution_dataset(suite, dist_spec) for _, dist_spec in named_specs]
+    specs = [
+        ZooSpec(task_name, model_name, method_name, rep, robust)
         for rep in range(scale.n_repetitions)
-        for name, dist_spec in named_specs
     ]
-    results, timing = run_grid(label, _curve_cell, cells, scale, **knobs)
-    curves = {(rep, name): curve for rep, name, curve, _ in filter(None, results)}
-    return curves, timing
+    return evaluate_grid(
+        label, specs, [name for name, _ in named_specs], [datasets] * len(specs),
+        scale, suite.normalizer(), **knobs,
+    )
 
 
 @dataclass
@@ -168,15 +186,17 @@ def corruption_potential_experiment(
 ) -> CorruptionPotentialResult:
     """Prune potential on nominal, shifted, and every corrupted test set.
 
-    Under ``on_error="collect"`` a failed cell becomes a NaN in
-    ``potentials`` and a ``None`` hole in its ``curves`` list (keeping
-    the per-repetition indices aligned); the failures live on
-    ``timing.failures``.
+    An unknown corruption raises ``KeyError`` here, before any zoo
+    artifact is built or cell dispatched.  Under ``on_error="collect"`` a
+    failed cell (one repetition's block of distributions) becomes a NaN
+    in ``potentials`` and a ``None`` hole in the ``curves`` list of each
+    distribution of its block (keeping the per-repetition indices
+    aligned); the failures live on ``timing.failures``.
     """
     suite = make_suite(task_name, scale)
     named_specs = distribution_specs(suite, scale, corruptions)
     names = [n for n, _ in named_specs]
-    grid, timing = _evaluate_grid(
+    grid, timing = _distribution_grid(
         f"corruption_potential[{task_name}/{model_name}/{method_name}]",
         task_name, model_name, method_name, scale, robust, named_specs, jobs=jobs,
         on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
@@ -185,7 +205,7 @@ def corruption_potential_experiment(
     curves: dict[str, list[PruneAccuracyCurve]] = {n: [] for n in names}
     for rep in range(scale.n_repetitions):
         for di, dist_name in enumerate(names):
-            curve = grid.get((rep, dist_name))
+            curve = grid.get((rep, di))
             curves[dist_name].append(curve)
             if curve is not None:
                 potentials[rep, di] = curve.potential(scale.delta)
@@ -235,20 +255,24 @@ def severity_sweep_experiment(
     max_retries: int | None = None,
     cell_timeout: float | None = None,
 ) -> SeveritySweepResult:
-    """Prune potential of one corruption across severity levels."""
+    """Prune potential of one corruption across severity levels.
+
+    A severity outside 1..5 raises ``ValueError`` here, before any zoo
+    artifact is built or cell dispatched.
+    """
     named_specs = [
         (f"{corruption}@{severity}", ("corruption", corruption, severity))
         for severity in severities
     ]
-    grid, timing = _evaluate_grid(
+    grid, timing = _distribution_grid(
         f"severity_sweep[{task_name}/{model_name}/{method_name}/{corruption}]",
         task_name, model_name, method_name, scale, False, named_specs, jobs=jobs,
         on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
     )
     potentials = np.full((scale.n_repetitions, len(severities)), np.nan)
     for rep in range(scale.n_repetitions):
-        for si, (name, _) in enumerate(named_specs):
-            curve = grid.get((rep, name))
+        for si in range(len(severities)):
+            curve = grid.get((rep, si))
             if curve is not None:
                 potentials[rep, si] = curve.potential(scale.delta)
     return SeveritySweepResult(

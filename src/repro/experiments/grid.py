@@ -10,11 +10,16 @@ retraining a doomed artifact inline), dispatch the rest, and persist one
 next to the grid's :class:`~repro.parallel.GridTiming`.  ``build_zoo``'s
 two fan-outs (parents, then prune runs whose parent survived) go through
 the same :func:`dispatch` and :func:`record_grid` steps.
+
+The potential grids (corruption, severity, noise) split each
+repetition's distributions into blocks with :func:`distribution_blocks`:
+one cell swaps each checkpoint into its model once for a whole block.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -22,6 +27,34 @@ from repro import observe
 from repro.parallel import GridTiming, parallel_map, resolve_jobs, stopwatch
 from repro.resilience import CellFailure, FailureManifest
 from repro.resilience.failures import KIND_DEPENDENCY, default_manifest_path
+
+
+def distribution_blocks(
+    names: Sequence[str], n_repetitions: int, jobs: int | None = None
+) -> list[tuple[int, slice, str]]:
+    """``(rep, block, key)`` of each cell of a potential grid: every
+    repetition's ``names`` split into contiguous, near-equal blocks.
+
+    A repetition gets ``jobs // gcd(jobs, n_repetitions)`` blocks (at
+    most ``len(names)``; ``jobs`` resolved as
+    :func:`~repro.parallel.parallel_map` resolves it), the fewest that
+    make the grid's cell count a multiple of the worker count, so every
+    worker gets an equal share; at ``jobs=1`` a repetition is one cell.
+    ``block`` slices ``names``, and ``key`` is ``rep<r>/<first>..<last>``
+    (``rep<r>/<name>`` for a block of one).
+    """
+    if not names:
+        return []
+    jobs = resolve_jobs(jobs)
+    k = min(len(names), jobs // math.gcd(jobs, n_repetitions))
+    size, extra = divmod(len(names), k)
+    bounds = [i * size + min(i, extra) for i in range(k + 1)]
+    cells = []
+    for rep in range(n_repetitions):
+        for lo, hi in zip(bounds, bounds[1:]):
+            span = names[lo] if hi - lo == 1 else f"{names[lo]}..{names[hi - 1]}"
+            cells.append((rep, slice(lo, hi), f"rep{rep}/{span}"))
+    return cells
 
 
 def dispatch(

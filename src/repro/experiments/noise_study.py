@@ -2,24 +2,24 @@
 functional similarity under noise (Fig. 4, Appendix C.2).
 
 The (repetition × noise level) potential grid runs through
-:func:`~repro.experiments.grid.run_grid`; every cell derives its own rng
-from (rep, level), so the parallel results are identical to the serial
-ones.
+:func:`~repro.experiments.corruption_study.evaluate_grid`, one cell per
+(repetition, block of noise levels), each checkpoint swapped in once per
+cell.  The caller builds every noisy test set before the fan-out, each
+from its own (rep, level) seed, so the parallel results are identical to
+the serial ones.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import observe
 from repro.analysis.functional_distance import noise_similarity
-from repro.analysis.prune_potential import evaluate_curve
+from repro.data.datasets import Dataset, TaskSuite
 from repro.data.noise import add_uniform_noise
 from repro.experiments.config import ExperimentScale
-from repro.experiments.grid import run_grid
+from repro.experiments.corruption_study import evaluate_grid
 from repro.experiments.zoo import (
     ZooSpec,
     cached_suite,
@@ -27,9 +27,8 @@ from repro.experiments.zoo import (
     get_prune_run,
     make_model,
     make_suite,
-    scoped_model,
 )
-from repro.parallel import CellTiming, GridTiming
+from repro.parallel import GridTiming
 from repro.utils.rng import as_rng
 
 
@@ -53,38 +52,24 @@ class NoisePotentialResult:
         return self.potentials.std(axis=0)
 
 
-def _noise_cell(payload) -> tuple[int, int, float, CellTiming]:
-    """Evaluate one (repetition, noise level) cell (worker-side).
+def noisy_test_set(
+    suite: TaskSuite, scale: ExperimentScale, rep: int, level: int
+) -> Dataset:
+    """The normalized test set under noise level ``scale.noise_levels[level]``.
 
-    The noisy copy is regenerated per cell from the (rep, level) seed, so
-    the parent and every checkpoint are compared on *identical* noisy
-    inputs (noise is injected in normalized space per Section 4.1) and
-    serial/parallel execution see the same bytes.
+    The noise is drawn from the (rep, level) seed, so the parent and
+    every checkpoint are compared on *identical* noisy inputs (noise is
+    injected in normalized space per Section 4.1) and serial/parallel
+    execution see the same bytes.
     """
-    from repro.data.datasets import Dataset
-
-    task_name, model_name, method_name, scale, rep, li = payload
-    t0 = time.perf_counter()
-    eps = scale.noise_levels[li]
-    with observe.span("eval_cell", grid="noise", rep=rep, noise_level=eps):
-        suite = cached_suite(task_name, scale)
-        test = suite.test_set()
-        images_norm = suite.normalizer()(test.images)
-        rng = as_rng(scale.seed_for(rep) + 100 + li)
-        noisy = Dataset(
-            add_uniform_noise(images_norm, eps, rng),
-            test.labels,
-            name=f"{test.name}+noise{eps:.2f}",
-        )
-        spec = ZooSpec(task_name, model_name, method_name, rep)
-        run = get_prune_run(spec, scale)
-        model = scoped_model(spec, suite, scale)
-        curve = evaluate_curve(run, model, noisy, normalizer=None)
-    observe.incr("eval.cells")
-    timing = CellTiming(
-        key=f"rep{rep}/noise{eps:.2f}", seconds=time.perf_counter() - t0
+    test = suite.test_set()
+    eps = scale.noise_levels[level]
+    rng = as_rng(scale.seed_for(rep) + 100 + level)
+    return Dataset(
+        add_uniform_noise(suite.normalizer()(test.images), eps, rng),
+        test.labels,
+        name=f"{test.name}+noise{eps:.2f}",
     )
-    return rep, li, curve.potential(scale.delta), timing
 
 
 def noise_potential_experiment(
@@ -100,27 +85,31 @@ def noise_potential_experiment(
 ) -> NoisePotentialResult:
     """Evaluate Definition 1 under ℓ∞ noise of growing magnitude.
 
-    Under ``on_error="collect"`` failed cells become NaN entries in
-    ``potentials`` and the grid's failure manifest is persisted (see
-    :mod:`repro.resilience`).
+    Every noisy test set is built here, before the fan-out.  Under
+    ``on_error="collect"`` a failed cell (one repetition's block of noise
+    levels) becomes NaN entries in ``potentials`` and the grid's failure
+    manifest is persisted (see :mod:`repro.resilience`).
     """
-    cells = [
-        (
-            ZooSpec(task_name, model_name, method_name, rep),
-            f"rep{rep}/noise{eps:.2f}",
-            (task_name, model_name, method_name, scale, rep, li),
-        )
-        for rep in range(scale.n_repetitions)
-        for li, eps in enumerate(scale.noise_levels)
-    ]
-    results, timing = run_grid(
+    suite = cached_suite(task_name, scale)
+    levels = range(len(scale.noise_levels))
+    grid, timing = evaluate_grid(
         f"noise_potential[{task_name}/{model_name}/{method_name}]",
-        _noise_cell, cells, scale, jobs=jobs,
-        on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
+        [ZooSpec(task_name, model_name, method_name, rep) for rep in range(scale.n_repetitions)],
+        [f"noise{eps:.2f}" for eps in scale.noise_levels],
+        [
+            [noisy_test_set(suite, scale, rep, li) for li in levels]
+            for rep in range(scale.n_repetitions)
+        ],
+        scale,
+        None,
+        jobs=jobs, on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
     )
     potentials = np.full((scale.n_repetitions, len(scale.noise_levels)), np.nan)
-    for rep, li, potential, _ in filter(None, results):
-        potentials[rep, li] = potential
+    for rep in range(scale.n_repetitions):
+        for li in levels:
+            curve = grid.get((rep, li))
+            if curve is not None:
+                potentials[rep, li] = curve.potential(scale.delta)
     return NoisePotentialResult(
         task_name=task_name,
         model_name=model_name,

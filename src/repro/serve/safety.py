@@ -122,8 +122,8 @@ def safety_from_curves(
     """Build a :class:`SafetyContext` from per-distribution prune curves.
 
     ``curves`` maps distribution names to :class:`PruneAccuracyCurve`
-    (as produced by ``repro.analysis.evaluate_curve``); one of them must
-    be named ``"nominal"``.
+    (``repro.analysis.evaluate_curve`` returns one per dataset it is
+    given, in order); one of them must be named ``"nominal"``.
     """
     potentials = {name: c.potential(delta) for name, c in curves.items()}
     parent_errors = {name: float(c.parent_error) for name, c in curves.items()}

@@ -103,7 +103,7 @@ class TestEvaluateCurvePreservesState:
 
         suite, probe, run = self._fixture()
         before = probe.state_dict()
-        evaluate_curve(run, probe, suite.test_set(), suite.normalizer())
+        evaluate_curve(run, probe, [suite.test_set()], suite.normalizer())
         after = probe.state_dict()
         assert set(before) == set(after)
         for key in before:
@@ -120,11 +120,33 @@ class TestEvaluateCurvePreservesState:
 
         with pytest.raises(RuntimeError, match="evaluation died"):
             evaluate_curve(
-                run, probe, suite.test_set(), suite.normalizer(), transform=explode
+                run, probe, [suite.test_set()], suite.normalizer(), transform=explode
             )
         after = probe.state_dict()
         for key in before:
             np.testing.assert_array_equal(before[key], after[key], err_msg=key)
+
+
+class TestEvaluateCurveManyDatasets:
+    """One checkpoint-outer sweep over several datasets gives, per
+    dataset, the curve a one-dataset sweep gives, bitwise."""
+
+    def test_each_curve_equals_its_single_dataset_sweep(self):
+        from repro.analysis.prune_potential import evaluate_curve
+
+        suite, probe, run = TestEvaluateCurvePreservesState._fixture()
+        datasets = [
+            suite.test_set(),
+            suite.corrupted_test_set("gaussian_noise", 3),
+            suite.test_set().subset(np.arange(5), name="first5"),
+        ]
+        curves = evaluate_curve(run, probe, datasets, suite.normalizer())
+        assert [c.distribution for c in curves] == [d.name for d in datasets]
+        for dataset, curve in zip(datasets, curves):
+            [alone] = evaluate_curve(run, probe, [dataset], suite.normalizer())
+            np.testing.assert_array_equal(curve.errors, alone.errors)
+            assert curve.parent_error == alone.parent_error
+            np.testing.assert_array_equal(curve.ratios, run.ratios)
 
 
 class TestEvaluateCurveIntegration:
@@ -141,7 +163,7 @@ class TestEvaluateCurveIntegration:
             from tests.conftest import make_tiny_cnn
 
             probe = make_tiny_cnn(seed=1)
-            curve = evaluate_curve(run, probe, suite.test_set(), suite.normalizer())
+            [curve] = evaluate_curve(run, probe, [suite.test_set()], suite.normalizer())
             assert curve.errors.shape == (2,)
             assert curve.parent_error == pytest.approx(run.parent_test_error, abs=1e-6)
             pot = prune_potential(run, probe, suite.test_set(), suite.normalizer(), delta=1.0)

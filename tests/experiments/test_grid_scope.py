@@ -1,7 +1,9 @@
 """The grid scope: one evaluation grid loads each zoo artifact and builds
 each eval model once, shares them read-only, and keeps nothing after it
 returns; corrupt archives are loud cache misses.  A grid whose zoo lost a
-repetition skips that repetition's cells and keeps the others intact."""
+repetition skips that repetition's cells and keeps the others intact.
+Potential grids are checkpoint-outer: a cell evaluates a block of
+distributions and swaps each checkpoint into its model once."""
 
 from __future__ import annotations
 
@@ -17,15 +19,19 @@ import pytest
 
 import repro.pruning.pipeline as pipeline
 from repro import observe
+from repro.analysis.prune_potential import evaluate_curve
 from repro.experiments import SMOKE, ZooSpec, build_zoo
 from repro.experiments import zoo
 from repro.experiments.corruption_study import (
-    _curve_cell,
+    _distribution_dataset,
     corruption_potential_experiment,
     severity_sweep_experiment,
 )
-from repro.experiments.noise_study import _noise_cell, noise_potential_experiment
+from repro.experiments.grid import distribution_blocks
+from repro.experiments.noise_study import noise_potential_experiment, noisy_test_set
 from repro.experiments.prune_curves import _rep_cell, prune_curve_experiment
+from repro.infer.plan import CompiledPlan
+from repro.nn.module import Module
 from repro.observe import load_report
 from repro.resilience import FailureManifest, chaos
 from repro.utils.serialization import save_state
@@ -150,11 +156,20 @@ class TestOneLoadPerGrid:
         assert sorted(calls.calls("load")) == first
 
 
-def unscoped_curve(rep, dist_spec):
-    """One corruption cell run on its own, as before grids shared state."""
+def unscoped_curve(rep, dataset, normalize=True):
+    """One distribution evaluated on its own, on a fresh model, outside
+    any grid scope."""
     assert zoo._SCOPE is None
-    payload = ("cifar", "resnet20", "wt", MICRO, False, rep, "cell", dist_spec)
-    return _curve_cell(payload)[2]
+    spec = ZooSpec("cifar", "resnet20", "wt", rep)
+    suite = zoo.cached_suite("cifar", MICRO)
+    model = zoo.make_model(spec, suite, MICRO)
+    normalizer = suite.normalizer() if normalize else None
+    [curve] = evaluate_curve(zoo.get_prune_run(spec, MICRO), model, [dataset], normalizer)
+    return curve
+
+
+def distribution(dist_spec):
+    return _distribution_dataset(zoo.cached_suite("cifar", MICRO), dist_spec)
 
 
 class TestBitwiseEqualToUnscopedCells:
@@ -166,7 +181,7 @@ class TestBitwiseEqualToUnscopedCells:
             if name in ("nominal", "shifted"):
                 dist_spec = (name,)
             for rep in range(MICRO.n_repetitions):
-                got, want = result.curves[name][rep], unscoped_curve(rep, dist_spec)
+                got, want = result.curves[name][rep], unscoped_curve(rep, distribution(dist_spec))
                 np.testing.assert_array_equal(got.errors, want.errors)
                 assert got.parent_error == want.parent_error
 
@@ -178,7 +193,9 @@ class TestBitwiseEqualToUnscopedCells:
         )
         want = [
             [
-                unscoped_curve(rep, ("corruption", "gaussian_noise", s)).potential(MICRO.delta)
+                unscoped_curve(
+                    rep, distribution(("corruption", "gaussian_noise", s))
+                ).potential(MICRO.delta)
                 for s in SEVERITIES
             ]
             for rep in range(MICRO.n_repetitions)
@@ -188,9 +205,12 @@ class TestBitwiseEqualToUnscopedCells:
     @pytest.mark.parametrize("jobs", JOBS)
     def test_noise(self, zoo_cache, jobs):
         result = noise_potential_experiment("cifar", "resnet20", "wt", MICRO, jobs=jobs)
+        suite = zoo.cached_suite("cifar", MICRO)
         want = [
             [
-                _noise_cell(("cifar", "resnet20", "wt", MICRO, rep, li))[2]
+                unscoped_curve(
+                    rep, noisy_test_set(suite, MICRO, rep, li), normalize=False
+                ).potential(MICRO.delta)
                 for li in range(len(MICRO.noise_levels))
             ]
             for rep in range(MICRO.n_repetitions)
@@ -207,18 +227,135 @@ class TestBitwiseEqualToUnscopedCells:
         np.testing.assert_array_equal(result.flop_reductions, [c[3] for c in cells])
 
 
+class TestDistributionBlocks:
+    NAMES = ["a", "b", "c", "d", "e"]
+
+    def blocks(self, n_repetitions, jobs, names=NAMES):
+        return [(rep, names[block], key) for rep, block, key in
+                distribution_blocks(names, n_repetitions, jobs)]
+
+    def test_one_block_per_repetition_at_one_job(self):
+        assert self.blocks(2, 1) == [
+            (0, self.NAMES, "rep0/a..e"), (1, self.NAMES, "rep1/a..e"),
+        ]
+
+    @pytest.mark.parametrize(
+        "n_repetitions, jobs, per_rep",
+        [(2, 2, 1), (3, 2, 2), (2, 4, 2), (1, 3, 3), (3, 6, 2), (4, 6, 3)],
+    )
+    def test_fewest_cells_that_divide_among_the_workers(self, n_repetitions, jobs, per_rep):
+        cells = self.blocks(n_repetitions, jobs)
+        assert len(cells) == n_repetitions * per_rep
+        assert len(cells) % jobs == 0
+        for rep in range(n_repetitions):
+            blocks = [names for r, names, _ in cells if r == rep]
+            assert sum(blocks, []) == self.NAMES  # contiguous, in order
+            assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+
+    def test_keys(self):
+        assert [key for _, _, key in self.blocks(1, 3)] == [
+            "rep0/a..b", "rep0/c..d", "rep0/e",
+        ]
+
+    def test_never_more_blocks_than_names(self):
+        assert self.blocks(1, 4, names=["a", "b"]) == [(0, ["a"], "rep0/a"), (0, ["b"], "rep0/b")]
+        assert self.blocks(2, 1, names=[]) == []
+
+    def test_jobs_resolve_like_parallel_map(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NUM_WORKERS", "2")
+        assert len(self.blocks(1, None)) == 2
+        monkeypatch.setenv("REPRO_NUM_WORKERS", "0")  # all CPUs
+        assert len(self.blocks(1, None)) == min(len(self.NAMES), os.cpu_count() or 1)
+
+
+class TestCheckpointOuter:
+    def test_each_state_swapped_in_once_per_cell(self, zoo_cache, monkeypatch):
+        counts = Counter()
+        real_refresh, real_load = CompiledPlan.refresh, Module.load_state_dict
+
+        def refresh(plan, model):
+            counts["refresh"] += 1
+            return real_refresh(plan, model)
+
+        def load_state_dict(model, state):
+            counts["load"] += 1
+            return real_load(model, state)
+
+        monkeypatch.setattr(CompiledPlan, "refresh", refresh)
+        monkeypatch.setattr(Module, "load_state_dict", load_state_dict)
+        result = corruption_grid(1)
+        assert result.potentials.shape == (2, 4)
+        # Per repetition: the parent and one checkpoint each refresh the
+        # plan once for all 4 distributions; the cell then restores its
+        # model's state with a third load.
+        assert counts == {"refresh": 4, "load": 6}
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="chaos reaches the workers through fork",
+    )
+    def test_dead_block_leaves_nan_for_its_distributions_only(self, chaos_off):
+        clean = corruption_grid(1)
+        chaos.configure(exception_rate=1.0, only_keys=("rep1/nominal",))
+        try:
+            # 4 workers for 2 repetitions: two blocks of two per repetition.
+            result = corruption_potential_experiment(
+                "cifar", "resnet20", "wt", MICRO, corruptions=CORRUPTIONS, jobs=4,
+                on_error="collect", max_retries=0,
+            )
+        finally:
+            chaos.disable()
+        assert [f.key for f in result.timing.failures] == ["rep1/nominal..shifted"]
+        assert np.isnan(result.potentials[1, :2]).all()
+        np.testing.assert_array_equal(result.potentials[1, 2:], clean.potentials[1, 2:])
+        np.testing.assert_array_equal(result.potentials[0], clean.potentials[0])
+        assert result.curves["nominal"][1] is None and result.curves["shifted"][1] is None
+        assert result.curves["jpeg"][1] is not None
+
+
+class TestBadDistributionFailsFast:
+    """A distribution that cannot be built raises in the caller, before
+    the zoo probe or any cell runs, and leaves no manifest behind."""
+
+    def manifests(self, cache):
+        return set(cache.glob("failures-*.json"))
+
+    def test_unknown_corruption(self, zoo_cache):
+        before = self.manifests(zoo_cache)
+        corruption_potential_experiment.cache_clear()
+        with pytest.raises(KeyError, match="no_such"):
+            corruption_potential_experiment(
+                "cifar", "resnet20", "wt", MICRO, corruptions=("no_such",), on_error="collect"
+            )
+        assert self.manifests(zoo_cache) == before
+
+    def test_bad_severity(self, zoo_cache):
+        before = self.manifests(zoo_cache)
+        severity_sweep_experiment.cache_clear()
+        with pytest.raises(ValueError, match="severity"):
+            severity_sweep_experiment(
+                "cifar", "resnet20", "wt", MICRO, severities=(0,), on_error="collect"
+            )
+        assert self.manifests(zoo_cache) == before
+
+
 def prune_curve(jobs, **knobs):
     prune_curve_experiment.cache_clear()
     return prune_curve_experiment("cifar", "resnet20", "wt", MICRO, jobs=jobs, **knobs)
 
 
 @pytest.fixture
-def rep1_dies(zoo_cache, monkeypatch):
-    """A context that fails every zoo cell of repetition 1 and yields the
-    grid knobs to pass; chaos is off outside it."""
+def chaos_off(zoo_cache, monkeypatch):
+    """Chaos off, whatever the environment says."""
     monkeypatch.delenv(chaos.ENV_VAR, raising=False)
     monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
     chaos.disable()
+
+
+@pytest.fixture
+def rep1_dies(chaos_off):
+    """A context that fails every zoo cell of repetition 1 and yields the
+    grid knobs to pass; chaos is off outside it."""
 
     @contextlib.contextmanager
     def dead():
@@ -256,7 +393,8 @@ class TestDegradedGrids:
         for name in result.distributions:
             assert result.curves[name][1] is None
             np.testing.assert_array_equal(result.curves[name][0].errors, clean.curves[name][0].errors)
-        assert_rep1_skipped(result.timing, [f"rep1/{name}" for name in result.distributions])
+        # One block of every distribution per repetition at jobs 1 and 2.
+        assert_rep1_skipped(result.timing, ["rep1/nominal..jpeg"])
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_noise(self, rep1_dies, jobs):
@@ -265,7 +403,7 @@ class TestDegradedGrids:
             result = noise_potential_experiment("cifar", "resnet20", "wt", MICRO, jobs=jobs, **knobs)
         assert np.isnan(result.potentials[1]).all()
         np.testing.assert_array_equal(result.potentials[0], clean.potentials[0])
-        assert_rep1_skipped(result.timing, [f"rep1/noise{eps:.2f}" for eps in MICRO.noise_levels])
+        assert_rep1_skipped(result.timing, ["rep1/noise0.00..noise0.30"])
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_prune_curve(self, rep1_dies, jobs):
@@ -347,7 +485,7 @@ class TestObservability:
         corruption_grid(1)
         observe.shutdown()
         report = load_report(ledger)
-        cells = MICRO.n_repetitions * (2 + len(CORRUPTIONS))
+        cells = MICRO.n_repetitions  # one block of every distribution each
         assert report.grid_scope == {
             "warm_hits": cells,
             "warm_misses": len(artifact_names()),

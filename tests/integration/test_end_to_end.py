@@ -42,7 +42,7 @@ class TestPipelineCoherence:
     def test_curve_reproduces_recorded_errors(self, pipeline_artifacts):
         run, suite, _ = pipeline_artifacts
         probe = make_tiny_cnn(seed=8)
-        curve = evaluate_curve(run, probe, suite.test_set(), suite.normalizer())
+        [curve] = evaluate_curve(run, probe, [suite.test_set()], suite.normalizer())
         np.testing.assert_allclose(curve.errors, run.test_errors, atol=1e-9)
         np.testing.assert_allclose(curve.parent_error, run.parent_test_error, atol=1e-9)
 
