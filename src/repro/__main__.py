@@ -74,7 +74,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="collect: finish the surviving cells and persist a failure "
         "manifest (NaN holes in results) instead of aborting on the first "
-        "dead cell (default: raise; collect for `zoo --resume`)",
+        "dead cell (default: raise)",
     )
     parser.add_argument(
         "--max-retries",
@@ -92,10 +92,10 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _grid_kwargs(args, on_error: str = "raise") -> dict:
+def _grid_kwargs(args) -> dict:
     return {
         "jobs": args.jobs,
-        "on_error": args.on_error or on_error,
+        "on_error": args.on_error or "raise",
         "max_retries": args.max_retries,
         "cell_timeout": args.cell_timeout,
     }
@@ -123,27 +123,15 @@ def cmd_zoo(args) -> int:
     from repro import observe
     from repro.experiments import SMOKE
     from repro.experiments.zoo import bench_zoo_specs, build_zoo
-    from repro.resilience import resume_zoo
 
-    if args.resume:
-        try:
-            timing = resume_zoo(args.resume, SMOKE, **_grid_kwargs(args, "collect"))
-        except FileNotFoundError:
-            missing = ", ".join(args.resume)
-            print(f"error: no failure manifest at {missing}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        timing = build_zoo(bench_zoo_specs(), SMOKE, **_grid_kwargs(args))
+    timing = build_zoo(bench_zoo_specs(), SMOKE, **_grid_kwargs(args))
     for cell in timing.cells:
         status = "cached" if cell.cached else "built"
         print(f"{cell.key}: {status} in {cell.seconds:.1f}s", flush=True)
     print(timing.summary())
     _report_degraded(timing)
     if timing.failures:
-        print(f"resume with: python -m repro zoo --resume {timing.manifest_path}")
+        print("re-run this command to rebuild the failed cells")
     ledger = observe.current_ledger_path()
     if ledger is not None:
         print(f"run ledger: {ledger}")
@@ -320,14 +308,6 @@ def main(argv: list[str] | None = None) -> int:
 
     zoo_parser = sub.add_parser("zoo", help="pre-train the cached model zoo")
     _add_grid_flags(zoo_parser)
-    zoo_parser.add_argument(
-        "--resume",
-        action="append",
-        default=None,
-        metavar="MANIFEST",
-        help="recompute only the failed cells of a previous degraded run; "
-        "repeatable — several manifests are merged and deduplicated",
-    )
     zoo_parser.set_defaults(fn=cmd_zoo)
 
     for name, fn in [("curve", cmd_curve), ("potential", cmd_potential), ("tables", cmd_tables)]:

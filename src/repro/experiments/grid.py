@@ -7,9 +7,11 @@ share: open the grid scope, build the zoo artifacts the cells read, skip
 the cells whose artifact died as ``dependency`` failures (instead of
 retraining a doomed artifact inline), dispatch the rest, and persist one
 :class:`~repro.resilience.failures.FailureManifest` covering both phases
-next to the grid's :class:`~repro.parallel.GridTiming`.  ``build_zoo``'s
-two fan-outs (parents, then prune runs whose parent survived) go through
-the same :func:`dispatch` and :func:`record_grid` steps.
+next to the grid's :class:`~repro.parallel.GridTiming`.  The zoo's two
+fan-outs (parents, then prune runs whose parent survived,
+:func:`~repro.experiments.zoo.build_artifacts`) go through the same
+:func:`dispatch` step, and ``build_zoo`` is those fan-outs plus
+:func:`record_grid`.
 
 The potential grids (corruption, severity, noise) split each
 repetition's distributions into blocks with :func:`distribution_blocks`:
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro import observe
@@ -114,34 +115,25 @@ def record_grid(
     wall_seconds: float,
     cells: list,
     failures: list[CellFailure],
-    total_cells: int,
-    scale,
-    manifest_dir: str | Path | None = None,
 ) -> GridTiming:
     """Persist a degraded grid's manifest and record the grid's timing.
 
-    The manifest goes under ``manifest_dir`` (default: the cache dir),
-    with the scale digest so ``--resume`` refuses to replay it against a
-    different cache namespace; a clean grid writes none.
+    Every cell of the grid is in ``cells`` or in ``failures``.  The
+    manifest goes under the cache dir; a clean grid writes none.
     """
     manifest_path = None
     if failures:
         # Lazy import: repro.experiments.zoo imports this module.
         from repro.experiments.zoo import cache_dir
 
-        manifest = FailureManifest(
-            label=label,
-            failures=list(failures),
-            total_cells=total_cells,
-            scale_digest=scale.digest(),
-        )
-        directory = Path(manifest_dir) if manifest_dir else cache_dir()
-        manifest_path = str(manifest.save(default_manifest_path(directory, label)))
+        total = len(cells) + len(failures)
+        manifest = FailureManifest(label, list(failures), total)
+        manifest_path = str(manifest.save(default_manifest_path(cache_dir(), label)))
         observe.event(
             "degraded",
             label=label,
             failed=len(failures),
-            total=total_cells,
+            total=total,
             manifest=manifest_path,
         )
     return GridTiming(
@@ -176,9 +168,9 @@ def run_grid(
     cells of a dead artifact are ``dependency`` failures, ``results``
     (aligned with ``cells``) holds ``None`` for every skipped or dead
     cell, and ``timing`` carries the failures of both phases and the
-    manifest path.
+    path of the one manifest that records them.
     """
-    from repro.experiments.zoo import build_zoo, grid_scope
+    from repro.experiments.zoo import build_artifacts, grid_scope
 
     knobs = dict(
         jobs=jobs,
@@ -187,8 +179,10 @@ def run_grid(
         cell_timeout=cell_timeout,
     )
     with stopwatch() as elapsed, grid_scope():
-        zoo = build_zoo(list(dict.fromkeys(spec for spec, _, _ in cells)), scale, **knobs)
-        dead = {f.key for f in zoo.failures}
+        zoo_cells, zoo_failures = build_artifacts(
+            list(dict.fromkeys(spec for spec, _, _ in cells)), scale, **knobs
+        )
+        dead = {f.key for f in zoo_failures}
         results, failures = dispatch(
             fn,
             [key for _, key, _ in cells],
@@ -204,9 +198,7 @@ def run_grid(
         label,
         jobs,
         wall,
-        zoo.cells + [r[-1] for r in results if r is not None],
-        zoo.failures + failures,
-        len(zoo.cells) + len(zoo.failures) + len(cells),
-        scale,
+        zoo_cells + [r[-1] for r in results if r is not None],
+        zoo_failures + failures,
     )
     return results, timing

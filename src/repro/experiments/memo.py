@@ -93,9 +93,9 @@ def memoize(
             observe.incr("memo.miss", fn=fn.__name__)
             result = fn(*args, **kwargs)
             # A degraded grid (its timing carries failures, its arrays NaN
-            # holes) must not be pinned for the process lifetime: a retry
-            # in the same process — e.g. after resuming the failed zoo
-            # cells — should recompute, not replay the holes.
+            # holes) must not be pinned for the process lifetime: the same
+            # call repeated in this process is how an in-process caller
+            # recovers, so it must recompute, not replay the holes.
             timing = getattr(result, "timing", None)
             if timing is not None and getattr(timing, "degraded", False):
                 observe.incr("memo.degraded_skip", fn=fn.__name__)

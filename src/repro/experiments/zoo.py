@@ -51,6 +51,7 @@ from repro.parallel import (
     stopwatch,
 )
 from repro.pruning import PruneRetrain, PruneRun, build_method, canonical_spec
+from repro.resilience import CellFailure
 from repro.training import TrainConfig, Trainer, default_robust_protocol
 from repro.utils.rng import as_rng
 from repro.utils.serialization import load_state, save_state
@@ -214,8 +215,7 @@ def grid_scope() -> Iterator[None]:
     fresh interpreter.  Entries are keyed on the archive's stat, so an
     artifact re-published or repaired mid-grid is reloaded, never served
     stale.  Pool workers forked inside the block inherit the scope and
-    fill their own copy; ``python -m repro worker`` processes run outside
-    it.
+    fill their own copy.
     """
     global _SCOPE
     outer = _SCOPE
@@ -227,17 +227,22 @@ def grid_scope() -> Iterator[None]:
 
 
 def scoped_model(spec: ZooSpec, suite: TaskSuite, scale: ExperimentScale) -> Module:
-    """The open grid scope's model for ``spec`` (:func:`make_model` outside one).
+    """The open grid scope's model for ``spec`` (:func:`make_model` outside
+    one), sealed (:meth:`~repro.nn.module.Module.seal`).
 
     Consumers must leave its state as they found it, as
-    :func:`~repro.analysis.prune_potential.evaluate_curve` does.
+    :func:`~repro.analysis.prune_potential.evaluate_curve` does: they may
+    swap states in with ``load_state_dict`` (which keeps it sealed), and an
+    in-place write raises ``ValueError``.  Its inference engine then
+    trusts each state by array identity and hashes it once per swap, not
+    once per call.
     """
     if _SCOPE is None:
-        return make_model(spec, suite, scale)
+        return make_model(spec, suite, scale).seal()
     key = (spec, scale)
     model = _SCOPE.models.get(key)
     if model is None:
-        model = _SCOPE.models[key] = make_model(spec, suite, scale)
+        model = _SCOPE.models[key] = make_model(spec, suite, scale).seal()
     else:
         observe.incr("zoo.model_reuse")
     return model
@@ -434,26 +439,13 @@ def parent_specs(specs: Iterable[ZooSpec]) -> list[ZooSpec]:
     return list(dict.fromkeys(_parent_of(spec) for spec in specs))
 
 
-def _zoo_payload(spec: ZooSpec) -> dict:
-    """Manifest payload reconstructing ``spec`` (see ``repro.resilience.resume``)."""
-    return {
-        "kind": "zoo",
-        "task": spec.task_name,
-        "model": spec.model_name,
-        "method": spec.method_name,
-        "repetition": spec.repetition,
-        "robust": spec.robust,
-    }
-
-
 def _build_phase(
     specs: list[ZooSpec],
     upstreams: list[str | None],
     scale: ExperimentScale,
     **knobs,
-) -> tuple[list[CellTiming], list]:
-    """One fan-out of :func:`build_zoo`: built cells, and failures that
-    carry the payload ``--resume`` rebuilds their spec from."""
+) -> tuple[list[CellTiming], list[CellFailure]]:
+    """One fan-out of :func:`build_artifacts`: built cells and failures."""
     results, failures = dispatch(
         _build_cell,
         [s.key(scale) for s in specs],
@@ -461,11 +453,47 @@ def _build_phase(
         upstreams,
         **knobs,
     )
-    by_key = {s.key(scale): s for s in specs}
-    return (
-        [cell for cell in results if cell is not None],
-        [f.with_payload(_zoo_payload(by_key[f.key])) for f in failures],
-    )
+    return [cell for cell in results if cell is not None], failures
+
+
+def build_artifacts(
+    specs: Sequence[ZooSpec], scale: ExperimentScale, **knobs
+) -> tuple[list[CellTiming], list[CellFailure]]:
+    """Materialize every artifact in ``specs``; returns the built cells
+    and the failures.
+
+    Dependency-aware fan-out: all (deduplicated) parent states are built
+    first, then the prune runs — so parallel prune workers always find
+    their parent in the cache instead of serializing on its lock.
+    ``knobs`` are :func:`~repro.experiments.grid.dispatch`'s.  Records
+    nothing: :func:`build_zoo` and
+    :func:`~repro.experiments.grid.run_grid` each record their grid once.
+    """
+    specs = list(specs)
+    parents = parent_specs(specs)
+    prune = [s for s in specs if s.method_name is not None]
+    with observe.span(
+        "build_zoo",
+        specs=len(specs),
+        jobs=resolve_jobs(knobs.get("jobs")),
+        on_error=knobs.get("on_error", "raise"),
+    ) as span:
+        cells, failures = _build_phase(parents, [None] * len(parents), scale, **knobs)
+        # Prune runs whose parent failed would retrain it inline under
+        # the artifact lock (and likely die the same way); skip them as
+        # dependency failures instead.
+        dead = {f.key for f in failures}
+        parent_keys = [_parent_of(s).key(scale) for s in prune]
+        prune_cells, prune_failures = _build_phase(
+            prune,
+            [f"parent cell {key}" if key in dead else None for key in parent_keys],
+            scale,
+            **knobs,
+        )
+        failures += prune_failures
+        if failures:
+            span.set(failed=len(failures))
+    return cells + prune_cells, failures
 
 
 def build_zoo(
@@ -476,13 +504,10 @@ def build_zoo(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    manifest_dir: str | Path | None = None,
 ) -> GridTiming:
-    """Materialize every artifact in ``specs`` across ``jobs`` processes.
+    """Materialize every artifact in ``specs`` across ``jobs`` processes
+    (:func:`build_artifacts`).
 
-    Dependency-aware fan-out: all (deduplicated) parent states are built
-    first, then the prune runs — so parallel prune workers always find
-    their parent in the cache instead of serializing on its lock.
     Idempotent; cached artifacts are cheap cache probes.  Returns the
     per-artifact and end-to-end wall-clock record.
 
@@ -492,58 +517,27 @@ def build_zoo(
     complete, prune runs whose parent failed are skipped as
     ``dependency`` failures instead of retraining the parent under a
     worker lock, and every failure is recorded in a
-    :class:`~repro.resilience.failures.FailureManifest` persisted under
-    ``manifest_dir`` (default: the cache dir).  The returned
-    :class:`GridTiming` carries the failures and the manifest path;
-    ``python -m repro zoo --resume <manifest>`` recomputes only those
-    cells.
+    :class:`~repro.resilience.failures.FailureManifest` under the cache
+    dir.  The returned :class:`GridTiming` carries the failures and the
+    manifest path.
 
-    A build killed outright (SIGKILL, OOM, power loss) resumes by running
-    it again: each artifact is published by an atomic rename under a
-    lock the kernel releases when its holder dies, so every artifact
-    finished before the kill is a cache hit and only the rest are built.
+    A degraded build, or one killed outright (SIGKILL, OOM, power loss),
+    recovers by running it again: each artifact is published by an atomic
+    rename under a lock the kernel releases when its holder dies, so every
+    artifact finished before the fault is a cache hit and only the rest
+    are built.
     """
-    specs = list(specs)
-    parents = parent_specs(specs)
-    prune = [s for s in specs if s.method_name is not None]
-    knobs = dict(
-        jobs=jobs,
-        on_error=on_error,
-        max_retries=max_retries,
-        cell_timeout=cell_timeout,
-    )
-    with observe.span(
-        "build_zoo", specs=len(specs), jobs=resolve_jobs(jobs), on_error=on_error
-    ) as span:
-        with stopwatch() as elapsed:
-            cells, failures = _build_phase(
-                parents, [None] * len(parents), scale, **knobs
-            )
-            # Prune runs whose parent failed would retrain it inline under
-            # the artifact lock (and likely die the same way); skip them as
-            # dependency failures instead.
-            dead = {f.key for f in failures}
-            parent_keys = [_parent_of(s).key(scale) for s in prune]
-            prune_cells, prune_failures = _build_phase(
-                prune,
-                [f"parent cell {key}" if key in dead else None for key in parent_keys],
-                scale,
-                **knobs,
-            )
-            wall = elapsed()
-        timing = record_grid(
-            "build_zoo",
-            jobs,
-            wall,
-            cells + prune_cells,
-            failures + prune_failures,
-            len(parents) + len(prune),
+    with stopwatch() as elapsed:
+        cells, failures = build_artifacts(
+            specs,
             scale,
-            manifest_dir,
+            jobs=jobs,
+            on_error=on_error,
+            max_retries=max_retries,
+            cell_timeout=cell_timeout,
         )
-        if timing.manifest_path is not None:
-            span.set(failed=len(timing.failures), manifest=timing.manifest_path)
-    return timing
+        wall = elapsed()
+    return record_grid("build_zoo", jobs, wall, cells, failures)
 
 
 #: Every zoo artifact the benchmarks touch, cheapest first, as

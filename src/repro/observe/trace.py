@@ -102,7 +102,7 @@ class TraceReport:
     @property
     def resilience(self) -> dict[str, float] | None:
         """Fault-tolerance rollup: retries, crashes, timeouts, dead cells,
-        chaos injections, and degraded/resumed grids (``None`` when the run
+        chaos injections, and degraded grids (``None`` when the run
         recorded none of them)."""
         rollup = {
             "retries": self.counters.get("resilience.retry", 0),
@@ -111,7 +111,6 @@ class TraceReport:
             "failed_cells": self.counters.get("resilience.failed", 0),
             "chaos_injected": self.counters.get("chaos.injected", 0),
             "degraded_grids": self.event_counts.get("degraded", 0),
-            "resumes": self.event_counts.get("resume", 0),
         }
         return rollup if any(rollup.values()) else None
 
@@ -211,8 +210,7 @@ class TraceReport:
                 f"{_fmt_num(r['timeouts'])} timed out, "
                 f"{_fmt_num(r['failed_cells'])} cells failed, "
                 f"{_fmt_num(r['chaos_injected'])} chaos injections, "
-                f"{_fmt_num(r['degraded_grids'])} degraded grid(s), "
-                f"{_fmt_num(r['resumes'])} resume(s)"
+                f"{_fmt_num(r['degraded_grids'])} degraded grid(s)"
             )
         if self.serve is not None:
             s = self.serve

@@ -58,6 +58,7 @@ from repro.resilience.failures import (
     CellFailure,
 )
 from repro.resilience.retry import (
+    RETRYABLE_KINDS,
     RetryPolicy,
     is_retryable,
     is_retryable_type,
@@ -321,7 +322,7 @@ def _engine(
     def cell_failed(index, kind, error_type, message, remote_tb):
         nonlocal retries
         attempts[index] += 1
-        retryable = kind in (KIND_CRASH, KIND_TIMEOUT) or is_retryable_type(error_type)
+        retryable = kind in RETRYABLE_KINDS or is_retryable_type(error_type)
         key = keys[index]
         if retryable and attempts[index] <= policy.max_retries:
             retries += 1

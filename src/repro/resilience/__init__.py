@@ -1,4 +1,4 @@
-"""Fault-tolerant execution: retries, failure manifests, chaos, resume.
+"""Fault-tolerant execution: retries, failure manifests, chaos.
 
 A production-scale sweep is a multi-hour (task × model × method ×
 repetition × distribution) grid; this package is what lets it *finish*
@@ -11,17 +11,18 @@ instead of aborting on the first fault:
 - :mod:`repro.resilience.failures` — structured
   :class:`~repro.resilience.failures.CellFailure` records and the
   JSON :class:`~repro.resilience.failures.FailureManifest` a degraded
-  grid persists next to its artifacts;
+  grid persists next to its artifacts as its post-mortem record;
 - :mod:`repro.resilience.chaos` — a deterministic fault-injection
   harness (worker exceptions, hard crashes, deadline-blowing delays,
   torn archive writes, lock starvation), opt-in via ``REPRO_CHAOS`` or
-  :func:`~repro.resilience.chaos.configure`, seeded per cell key;
-- :mod:`repro.resilience.resume` — ``--resume <manifest>``: recompute
-  only the failed cells of a degraded run against the warm cache.
+  :func:`~repro.resilience.chaos.configure`, seeded per cell key.
 
 The execution engine (:mod:`repro.parallel.pool`) consumes retry and
-failure records directly; :mod:`repro.experiments.zoo` and the study
-grids add manifest persistence and dependency-aware degradation on top.
+failure records directly; :func:`repro.experiments.grid.run_grid` and
+:func:`~repro.experiments.zoo.build_zoo` add dependency-aware
+degradation and one manifest per degraded grid on top.  A degraded or
+killed grid recovers by running it again: every artifact it finished is
+a cache hit, so only its failed cells are rebuilt.
 """
 
 from repro.resilience.chaos import ChaosConfig, ChaosError
@@ -33,12 +34,6 @@ from repro.resilience.failures import (
     CellFailure,
     FailureManifest,
     default_manifest_path,
-)
-from repro.resilience.resume import (
-    load_manifest,
-    load_manifests,
-    resume_zoo,
-    zoo_specs_from_manifest,
 )
 from repro.resilience.retry import (
     CELL_TIMEOUT_ENV,
@@ -73,8 +68,4 @@ __all__ = [
     "resolve_max_retries",
     "stable_seed",
     "stable_unit",
-    "load_manifest",
-    "load_manifests",
-    "resume_zoo",
-    "zoo_specs_from_manifest",
 ]

@@ -11,7 +11,7 @@ manifest.
 
 Backoff jitter is **seeded per (cell key, attempt)** rather than drawn
 from a global RNG: two runs of the same degraded grid sleep the same
-schedule, so chaos tests and resumed runs are reproducible.
+schedule, so chaos tests and re-runs are reproducible.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.resilience.failures import KIND_CRASH, KIND_TIMEOUT
 
 MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
@@ -58,7 +60,7 @@ RETRYABLE_TYPES: set[str] = {
 
 #: Failure kinds that are always retryable regardless of exception type:
 #: a crashed or hung worker says nothing deterministic about the cell.
-RETRYABLE_KINDS = ("crash", "timeout")
+RETRYABLE_KINDS = (KIND_CRASH, KIND_TIMEOUT)
 
 
 def register_retryable(type_name: str) -> None:

@@ -101,17 +101,22 @@ class TestCLI:
 
 
 class TestResilienceCLI:
-    def test_resume_missing_manifest_fails_cleanly(self, micro_env, capsys):
-        assert main(["zoo", "--resume", "/nonexistent/manifest.json"]) == 2
-        assert "no failure manifest" in capsys.readouterr().err
+    def test_degraded_zoo_points_at_a_rerun(self, micro_env, tmp_path, monkeypatch, capsys):
+        from repro.resilience import chaos
 
-    def test_resume_unreadable_manifest_fails_cleanly(
-        self, micro_env, tmp_path, capsys
-    ):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{ torn mid-wri")
-        assert main(["zoo", "--resume", str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
+        monkeypatch.delenv(chaos.ENV_VAR, raising=False)
+        monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
+        # Every parent dies at once, so every prune run is a dependency
+        # failure and nothing trains.
+        chaos.configure(exception_rate=1.0, only_keys=("-parent-",))
+        try:
+            assert main(["zoo", "--on-error", "collect", "--max-retries", "0"]) == 1
+        finally:
+            chaos.disable()
+        out = capsys.readouterr().out
+        assert "re-run this command to rebuild the failed cells" in out
+        [manifest] = tmp_path.glob("failures-*.json")
+        assert f"failure manifest: {manifest}" in out
 
     def test_report_degraded_prints_manifest_pointer(self, capsys):
         from repro.__main__ import _report_degraded

@@ -8,6 +8,7 @@ distributions and swaps each checkpoint into its model once."""
 from __future__ import annotations
 
 import contextlib
+import json
 import multiprocessing
 import os
 import warnings
@@ -33,7 +34,7 @@ from repro.experiments.prune_curves import _rep_cell, prune_curve_experiment
 from repro.infer.plan import CompiledPlan
 from repro.nn.module import Module
 from repro.observe import load_report
-from repro.resilience import FailureManifest, chaos
+from repro.resilience import chaos
 from repro.utils.serialization import save_state
 
 MICRO = SMOKE.with_(
@@ -269,7 +270,7 @@ class TestDistributionBlocks:
 
 
 class TestCheckpointOuter:
-    def test_each_state_swapped_in_once_per_cell(self, zoo_cache, monkeypatch):
+    def test_each_state_swapped_in_once_per_cell(self, zoo_cache, monkeypatch, state_hashes):
         counts = Counter()
         real_refresh, real_load = CompiledPlan.refresh, Module.load_state_dict
 
@@ -289,6 +290,9 @@ class TestCheckpointOuter:
         # plan once for all 4 distributions; the cell then restores its
         # model's state with a third load.
         assert counts == {"refresh": 4, "load": 6}
+        # The scoped model is sealed, so each state swapped in is hashed
+        # once, not once per distribution.
+        assert len(state_hashes) == 4
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -353,31 +357,39 @@ def chaos_off(zoo_cache, monkeypatch):
 
 
 @pytest.fixture
-def rep1_dies(chaos_off):
+def rep1_dies(chaos_off, zoo_cache):
     """A context that fails every zoo cell of repetition 1 and yields the
-    grid knobs to pass; chaos is off outside it."""
+    grid knobs to pass; chaos is off outside it.  On exit it sets
+    ``manifests``, the failure manifests written inside it."""
+
+    def manifests():
+        return set(zoo_cache.glob("failures-*.json"))
 
     @contextlib.contextmanager
     def dead():
+        before = manifests()
         chaos.configure(exception_rate=1.0, only_keys=("-rep1-",))
         try:
             yield dict(on_error="collect", max_retries=0)
         finally:
             chaos.disable()
+            dead.manifests = sorted(manifests() - before)
 
     return dead
 
 
-def assert_rep1_skipped(timing, eval_keys):
+def assert_rep1_skipped(timing, eval_keys, manifests):
     """Repetition 1's zoo died once; each of its eval cells is one
-    ``dependency`` failure, and ``total_cells`` counts both phases."""
+    ``dependency`` failure, and the grid wrote one manifest (``manifests``
+    are those written), whose ``total_cells`` counts both phases."""
     parent, wt = (zoo.ZooSpec("cifar", "resnet20", m, 1).key(MICRO) for m in (None, "wt"))
     kinds = {parent: "exception", wt: "dependency"}
     kinds.update((key, "dependency") for key in eval_keys)
     assert sorted(f.key for f in timing.failures) == sorted(kinds)
-    manifest = FailureManifest.load(timing.manifest_path)
-    assert {f.key: f.kind for f in manifest.failures} == kinds
-    assert manifest.total_cells == 4 + 2 * len(eval_keys)
+    assert manifests == [Path(timing.manifest_path)]
+    manifest = json.loads(manifests[0].read_text())
+    assert {f["key"]: f["kind"] for f in manifest["failures"]} == kinds
+    assert manifest["total_cells"] == 4 + 2 * len(eval_keys)
 
 
 class TestDegradedGrids:
@@ -394,7 +406,14 @@ class TestDegradedGrids:
             assert result.curves[name][1] is None
             np.testing.assert_array_equal(result.curves[name][0].errors, clean.curves[name][0].errors)
         # One block of every distribution per repetition at jobs 1 and 2.
-        assert_rep1_skipped(result.timing, ["rep1/nominal..jpeg"])
+        assert_rep1_skipped(result.timing, ["rep1/nominal..jpeg"], rep1_dies.manifests)
+        # A degraded result is not memoized: the same call, repeated with
+        # chaos off, recomputes the grid instead of replaying its holes.
+        again = corruption_potential_experiment(
+            "cifar", "resnet20", "wt", MICRO, corruptions=CORRUPTIONS, jobs=jobs, **knobs
+        )
+        assert not again.timing.degraded
+        np.testing.assert_array_equal(again.potentials, clean.potentials)
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_noise(self, rep1_dies, jobs):
@@ -403,7 +422,7 @@ class TestDegradedGrids:
             result = noise_potential_experiment("cifar", "resnet20", "wt", MICRO, jobs=jobs, **knobs)
         assert np.isnan(result.potentials[1]).all()
         np.testing.assert_array_equal(result.potentials[0], clean.potentials[0])
-        assert_rep1_skipped(result.timing, ["rep1/noise0.00..noise0.30"])
+        assert_rep1_skipped(result.timing, ["rep1/noise0.00..noise0.30"], rep1_dies.manifests)
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_prune_curve(self, rep1_dies, jobs):
@@ -415,7 +434,7 @@ class TestDegradedGrids:
         np.testing.assert_array_equal(result.errors[0], clean.errors[0])
         assert result.parent_errors[0] == clean.parent_errors[0]
         np.testing.assert_array_equal(result.flop_reductions[0], clean.flop_reductions[0])
-        assert_rep1_skipped(result.timing, ["rep1"])
+        assert_rep1_skipped(result.timing, ["rep1"], rep1_dies.manifests)
 
 
 class TestScopeSharing:

@@ -1,11 +1,12 @@
-"""Acceptance: chaos kills a worker mid-build, the grid degrades to a
-manifest, and --resume recomputes exactly the failed cells; a build
-SIGKILLed whole resumes by running it again, rebuilding only what it had
-not published — all of it verified against the run ledger's cache and
-resilience counters."""
+"""Acceptance: chaos kills a worker mid-build, the grid degrades to one
+manifest, and running the build again recomputes exactly the failed
+cells; a build SIGKILLed whole resumes by running it again, rebuilding
+only what it had not published — all of it verified against the run
+ledger's cache and resilience counters."""
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import signal
@@ -19,7 +20,7 @@ import pytest
 import repro
 from repro import observe
 from repro.observe import load_report
-from repro.resilience import FailureManifest, chaos, resume_zoo
+from repro.resilience import chaos
 from repro.resilience.failures import KIND_CRASH
 
 pytestmark = pytest.mark.tier2
@@ -45,8 +46,8 @@ def micro_zoo(tmp_path, monkeypatch):
     observe.shutdown()
 
 
-class TestDegradeAndResume:
-    def test_worker_crash_degrades_then_resumes_warm(self, micro_zoo, tmp_path):
+class TestDegradeAndRerun:
+    def test_worker_crash_degrades_then_reruns(self, micro_zoo, tmp_path):
         from repro.experiments import ZooSpec, build_zoo
 
         scale, ledger = micro_zoo
@@ -72,33 +73,34 @@ class TestDegradeAndResume:
         assert failure.error_type == "WorkerCrashError"
         assert failure.attempts == 2  # first run + one retry, both killed
 
-        manifest = FailureManifest.load(degraded.manifest_path)
-        assert manifest.keys == [ft_key]
-        assert manifest.failures[0].payload["method"] == "ft"
+        # One manifest records the dead cell for the post-mortem.
+        manifests = list((tmp_path / "zoo").glob("failures-*.json"))
+        assert manifests == [Path(degraded.manifest_path)]
+        [entry] = json.loads(manifests[0].read_text())["failures"]
+        assert (entry["key"], entry["kind"], entry["attempts"]) == (ft_key, KIND_CRASH, 2)
 
-        # Resume with chaos off: only the ft cell is recomputed; the
-        # parent dependency resolves as a warm cache hit.
-        resumed = resume_zoo(degraded.manifest_path, scale, jobs=1)
-        assert not resumed.degraded
-        parent_cell, ft_cell = resumed.cells
-        assert parent_cell.cached and not ft_cell.cached
+        # Re-run the same build with chaos off: only the ft cell is
+        # recomputed; parent and wt resolve as warm cache hits.
+        rerun = build_zoo(specs, scale, jobs=2)
+        assert not rerun.degraded
+        assert [c.cached for c in rerun.cells] == [True, True, False]
         assert len(list((tmp_path / "zoo").glob("*.npz"))) == 3
+        assert list((tmp_path / "zoo").glob("failures-*.json")) == manifests
 
         observe.shutdown()
         report = load_report(ledger)
         # Cache accounting across both runs: misses are parent + wt from
-        # the degraded build plus ft on resume; the single hit is the
-        # resume's parent probe — i.e. exactly the failed cell was redone.
-        assert report.counters.get("zoo.cache_hit", 0) == 1
+        # the degraded build plus ft on the re-run; the hits are the
+        # re-run's parent and wt probes — exactly the failed cell was redone.
+        assert report.counters.get("zoo.cache_hit", 0) == 2
         assert report.counters.get("zoo.cache_miss", 0) == 3
         # Resilience rollup: two crash detections (original + retry), one
-        # dead cell, one degraded grid, one resume.
+        # dead cell, one degraded grid.
         rollup = report.resilience
         assert rollup is not None
         assert rollup["crashes"] == 2
         assert rollup["failed_cells"] == 1
         assert rollup["degraded_grids"] == 1
-        assert rollup["resumes"] == 1
         assert "resilience:" in report.render()
 
 
