@@ -80,15 +80,14 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         "--max-retries",
         type=int,
         default=None,
-        help="per-cell retry budget for transient failures "
-        "(default: REPRO_MAX_RETRIES or 2)",
+        help="per-cell retry budget for transient failures (default: 2)",
     )
     parser.add_argument(
         "--cell-timeout",
         type=float,
         default=None,
         help="per-cell deadline in seconds; a hung pool worker is replaced. "
-        "Serial runs have no deadline (default: REPRO_CELL_TIMEOUT or none)",
+        "Serial runs have no deadline (default: none)",
     )
 
 

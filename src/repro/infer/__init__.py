@@ -5,13 +5,7 @@ Entry point for consumers is :func:`engine_for`; the pieces underneath
 ``repro.verify`` plan-parity oracle.
 """
 
-from repro.infer.engine import (
-    ENV_VAR,
-    InferenceEngine,
-    adopt_engine,
-    enabled,
-    engine_for,
-)
+from repro.infer.engine import InferenceEngine, adopt_engine, engine_for
 from repro.infer.grad import GradPlan
 from repro.infer.plan import CompiledPlan, CompileError
 from repro.infer.trace import (
@@ -22,16 +16,9 @@ from repro.infer.trace import (
     trace,
     trace_training,
 )
-from repro.infer.trainengine import (
-    ENV_VAR_TRAIN,
-    TrainEngine,
-    train_enabled,
-    train_engine_for,
-)
+from repro.infer.trainengine import TrainEngine, train_engine_for
 
 __all__ = [
-    "ENV_VAR",
-    "ENV_VAR_TRAIN",
     "CompiledPlan",
     "CompileError",
     "GradPlan",
@@ -42,10 +29,8 @@ __all__ = [
     "TrainEngine",
     "TrainGraph",
     "adopt_engine",
-    "enabled",
     "engine_for",
     "trace",
     "trace_training",
-    "train_enabled",
     "train_engine_for",
 ]

@@ -5,8 +5,7 @@ It returns a cached :class:`InferenceEngine` for a model; the engine
 traces the model's eval forward once per row shape, compiles it into a
 flat numpy plan (BN folded, masked weights densified) that runs at any
 row count, and falls back to the plain ``Module`` forward whenever the
-model cannot be traced, a compiled plan fails its self-check, or
-``REPRO_INFER=0`` opts out.
+model cannot be traced or a compiled plan fails its self-check.
 
 Correctness machinery:
 
@@ -30,7 +29,6 @@ Correctness machinery:
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 import zlib
@@ -43,8 +41,6 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.infer.plan import CompiledPlan, CompileError
 from repro.infer.trace import TraceError, trace
 from repro.nn.module import Module, is_sealed
-
-ENV_VAR = "REPRO_INFER"
 
 _PARITY_ATOL = 1e-5
 # BN folding perturbs weights *before* the conv reduction, so folded plans
@@ -62,11 +58,6 @@ def _assert_parity(got: np.ndarray, want: np.ndarray, what: str) -> None:
     bound = _PARITY_ATOL + _PARITY_RTOL * float(np.abs(want).max())
     if not diff <= bound:  # NaNs compare false and fall through here
         raise CompileError(f"{what}: max abs diff {diff:.3e} exceeds {bound:.3e}")
-
-
-def enabled() -> bool:
-    """Compiled plans are on unless ``REPRO_INFER=0`` (checked per call)."""
-    return os.environ.get(ENV_VAR, "1").lower() not in ("0", "false", "off")
 
 
 def _state_arrays(model: Module) -> list[np.ndarray]:
@@ -373,7 +364,7 @@ class InferenceEngine(HeldModel):
         # Module-like duck types (test doubles with just __call__/eval/train)
         # are served through the fallback path — tracing and the state
         # signature need the real parameter/buffer API.
-        use_plans = enabled() and isinstance(self.model, Module)
+        use_plans = isinstance(self.model, Module)
         if use_plans:
             self._sign_state()
         outputs = []

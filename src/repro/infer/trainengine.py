@@ -5,8 +5,8 @@ engine traces one train-mode step per (input shape, label shape), derives
 a static backward (see :mod:`repro.infer.grad`), and then serves every
 batch of that shape from the flat plan: no per-batch tape or Python
 autograd traversal.  The tape path remains as fallback — for
-``REPRO_TRAINC=0``, untraceable models (active dropout, tensor indexing),
-or a plan that fails its compile-time validation.
+untraceable models (active dropout, tensor indexing) or a plan that
+fails its compile-time validation.
 
 Correctness machinery:
 
@@ -36,7 +36,6 @@ Correctness machinery:
 
 from __future__ import annotations
 
-import os
 import weakref
 
 import numpy as np
@@ -49,8 +48,6 @@ from repro.infer.grad import GradPlan
 from repro.infer.plan import CompileError
 from repro.infer.trace import TraceError, sandboxed_step, trace_training
 from repro.nn.module import Module
-
-ENV_VAR_TRAIN = "REPRO_TRAINC"
 
 # Fast plans reorder convolution accumulation (per-offset GEMMs vs one
 # im2col GEMM), so gradients match the tape to roughly sqrt(#terms)·eps
@@ -68,11 +65,6 @@ _GRAD_RTOL = 1e-4
 # Wiring itself is proven separately — the exact-mode oracle reproduces
 # the tape bitwise on every registry architecture.
 _GRAD_RNORM = 1e-1
-
-
-def train_enabled() -> bool:
-    """Compiled training is on unless ``REPRO_TRAINC=0`` (checked per call)."""
-    return os.environ.get(ENV_VAR_TRAIN, "1").lower() not in ("0", "false", "off")
 
 
 def _close(got, want, exact: bool) -> bool:
@@ -214,7 +206,7 @@ class TrainEngine(HeldModel):
 
     def step(self, x: np.ndarray, y: np.ndarray):
         """One full training step; returns ``(loss, logits)``."""
-        if not (train_enabled() and isinstance(self.model, Module)):
+        if not isinstance(self.model, Module):
             observe.incr("trainc.fallback_batches")
             return self._tape_step(x, y)
         x = np.asarray(x)

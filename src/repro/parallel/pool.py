@@ -491,11 +491,10 @@ def parallel_map(
     - ``max_retries`` / ``retry_policy`` — transient failures (see
       :mod:`repro.resilience.retry`) are retried per cell with seeded
       exponential backoff; deterministic failures are not.  Defaults to
-      ``REPRO_MAX_RETRIES`` or 2 retries;
+      2 retries;
     - ``timeout`` — per-cell deadline in seconds (scaled by chunk length
       per dispatch).  A stalled worker is terminated and replaced.
-      Defaults to ``REPRO_CELL_TIMEOUT`` or no deadline.  Serial maps
-      cannot enforce one;
+      Defaults to no deadline.  Serial maps cannot enforce one;
     - ``on_error="collect"`` — degrade instead of aborting: returns a
       :class:`MapOutcome` with partial results and structured
       :class:`CellFailure` records for cells that exhausted their budget;

@@ -36,12 +36,9 @@ from repro.resilience.failures import (
     default_manifest_path,
 )
 from repro.resilience.retry import (
-    CELL_TIMEOUT_ENV,
-    MAX_RETRIES_ENV,
     RetryPolicy,
     is_retryable,
     is_retryable_type,
-    register_retryable,
     resolve_cell_timeout,
     resolve_max_retries,
     stable_seed,
@@ -59,11 +56,8 @@ __all__ = [
     "KIND_TIMEOUT",
     "KIND_DEPENDENCY",
     "RetryPolicy",
-    "MAX_RETRIES_ENV",
-    "CELL_TIMEOUT_ENV",
     "is_retryable",
     "is_retryable_type",
-    "register_retryable",
     "resolve_cell_timeout",
     "resolve_max_retries",
     "stable_seed",

@@ -18,22 +18,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.resilience.failures import KIND_CRASH, KIND_TIMEOUT
 
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-
 #: Exception *type names* treated as transient.  Names, not classes: in
 #: parallel mode the parent only sees the worker's ``type(exc).__name__``
 #: (the traceback travels as text), so classification must work on the
 #: wire format.  Subclasses of ``OSError`` raised in-process are caught
 #: by :func:`is_retryable` via ``isinstance`` as well.
-RETRYABLE_TYPES: set[str] = {
+RETRYABLE_TYPES = frozenset({
     # OS-level transients (the worker's process/filesystem misbehaved).
     "OSError",
     "IOError",
@@ -56,16 +52,11 @@ RETRYABLE_TYPES: set[str] = {
     "ChaosError",
     # A repackaged worker failure whose original type was lost.
     "WorkerError",
-}
+})
 
 #: Failure kinds that are always retryable regardless of exception type:
 #: a crashed or hung worker says nothing deterministic about the cell.
 RETRYABLE_KINDS = (KIND_CRASH, KIND_TIMEOUT)
-
-
-def register_retryable(type_name: str) -> None:
-    """Add an exception type name to the transient set (process-wide)."""
-    RETRYABLE_TYPES.add(type_name)
 
 
 def is_retryable_type(type_name: str) -> bool:
@@ -181,36 +172,15 @@ class RetryPolicy:
 
 
 def resolve_max_retries(value: int | None = None, default: int = 2) -> int:
-    """Retry budget: explicit arg > ``REPRO_MAX_RETRIES`` > ``default``."""
-    if value is not None:
-        if value < 0:
-            raise ValueError(f"max_retries must be >= 0, got {value}")
-        return int(value)
-    raw = os.environ.get(MAX_RETRIES_ENV, "").strip()
-    if raw:
-        try:
-            parsed = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{MAX_RETRIES_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if parsed < 0:
-            raise ValueError(f"{MAX_RETRIES_ENV} must be >= 0, got {parsed}")
-        return parsed
-    return default
+    """Retry budget: ``value``, or ``default`` when it is ``None``."""
+    if value is None:
+        return default
+    if value < 0:
+        raise ValueError(f"max_retries must be >= 0, got {value}")
+    return int(value)
 
 
 def resolve_cell_timeout(value: float | None = None) -> float | None:
-    """Per-cell deadline in seconds: explicit arg > ``REPRO_CELL_TIMEOUT``
-    > ``None`` (no deadline).  Non-positive values mean "no deadline"."""
-    if value is None:
-        raw = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{CELL_TIMEOUT_ENV} must be a number, got {raw!r}"
-            ) from None
-    return None if value <= 0 else float(value)
+    """Per-cell deadline in seconds; ``None`` or a non-positive value
+    means no deadline."""
+    return None if value is None or value <= 0 else float(value)

@@ -1,8 +1,8 @@
 """Prune-potential-as-a-service: multi-model serving over ``repro.infer``.
 
-The compiled-plan engine (PR 5) is a per-call library; this package turns
-it into a long-running serving subsystem, built simulation-first so every
-latency, batching, and shedding behaviour is deterministically testable:
+The compiled-plan engine is a per-call library; this package serves it
+to a stream of requests on a simulated clock, so every latency, batching,
+and shedding behaviour is deterministically testable:
 
 - :class:`ModelZooRegistry` — warm fixed-pad engines keyed by
   ``(architecture, prune_method, ratio)``, with a cross-model compiled-
@@ -10,12 +10,12 @@ latency, batching, and shedding behaviour is deterministically testable:
 - :class:`DynamicBatcher` — bounded request queue that coalesces
   same-model/same-shape traffic, flushes on window or deadline, and
   sheds oldest under backpressure;
-- :class:`PruneServer` — the serving loop (simulated on a
-  :class:`VirtualClock`, or threaded on a wall clock) with retry/
-  containment on engine faults and a ``safety`` endpoint attaching the
-  paper's Def.-1 prune-potential context to predictions;
+- :class:`PruneServer` — the serving loop, single-threaded on a
+  :class:`VirtualClock` that each batch charges its service time to,
+  with retry/containment on engine faults and a ``safety`` endpoint
+  attaching the paper's Def.-1 prune-potential context to predictions;
 - :func:`run_load` / :func:`run_serve_bench` — the seeded heavy-tail
-  load harness behind ``python -m repro serve-bench`` and
+  open-loop load harness behind ``python -m repro serve-bench`` and
   ``BENCH_serve.json``.
 """
 
@@ -27,7 +27,7 @@ from repro.serve.batcher import (
     PendingResponse,
     Request,
 )
-from repro.serve.clock import Clock, MonotonicClock, VirtualClock
+from repro.serve.clock import VirtualClock
 from repro.serve.loadgen import (
     Arrival,
     LoadProfile,
@@ -59,14 +59,12 @@ from repro.serve.server import (
 __all__ = [
     "Arrival",
     "Batch",
-    "Clock",
     "DynamicBatcher",
     "GroupKey",
     "LoadProfile",
     "LoadReport",
     "ModelKey",
     "ModelZooRegistry",
-    "MonotonicClock",
     "PendingResponse",
     "PruneServer",
     "RegisteredModel",

@@ -17,7 +17,6 @@ state and the given instant).
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -44,14 +43,11 @@ class PendingResponse:
     ``status`` moves from ``"pending"`` to exactly one of ``"ok"``
     (``value`` holds the logits), ``"shed"`` (dropped under backpressure),
     ``"deadline"`` (expired before service), or ``"error"`` (the batch's
-    engine call failed; ``error`` holds the exception).  ``wait`` blocks
-    only in threaded serving; under a virtual clock the server resolves
-    responses synchronously during ``pump``/``run_until_idle``.
+    engine call failed; ``error`` holds the exception).  The server
+    resolves responses synchronously during ``pump``/``run_until_idle``.
     """
 
-    __slots__ = (
-        "status", "value", "error", "latency", "batch_rows", "_event",
-    )
+    __slots__ = ("status", "value", "error", "latency", "batch_rows")
 
     def __init__(self):
         self.status = "pending"
@@ -59,16 +55,10 @@ class PendingResponse:
         self.error: BaseException | None = None
         self.latency: float | None = None
         self.batch_rows: int | None = None
-        self._event = threading.Event()
 
     @property
     def done(self) -> bool:
         return self.status != "pending"
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until resolved (threaded serving); returns ``done``."""
-        self._event.wait(timeout)
-        return self.done
 
     def result(self) -> np.ndarray:
         """The logits, or a raise describing why there are none."""
@@ -76,8 +66,7 @@ class PendingResponse:
             return self.value
         if self.status == "pending":
             raise RuntimeError(
-                "response pending — drive the server (pump/run_until_idle) "
-                "or wait() on a threaded server"
+                "response pending — drive the server (pump/run_until_idle)"
             )
         if self.status == "error":
             raise RuntimeError(f"request failed: {self.error!r}") from self.error
@@ -87,7 +76,6 @@ class PendingResponse:
         for name, value in fields.items():
             setattr(self, name, value)
         self.status = status
-        self._event.set()
 
 
 @dataclass

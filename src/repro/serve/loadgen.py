@@ -1,16 +1,17 @@
-"""Closed-loop load harness: seeded heavy-tail traffic against a server.
+"""Open-loop load harness: seeded heavy-tail traffic against a server.
 
 Arrivals are lognormal (heavy-tailed — bursts and lulls, like real
-request streams), traffic mixes several models and input shapes, and the
-whole run executes on the server's clock: under a
-:class:`~repro.serve.clock.VirtualClock` the harness fast-forwards
-between events, so a run simulating minutes of traffic finishes in
-however long the engine calls themselves take, and with an injected
-service-time model it is bit-for-bit reproducible.
+request streams) and scheduled up front, whatever the server does;
+traffic mixes several models and input shapes, and the whole run
+executes on the server's :class:`~repro.serve.clock.VirtualClock`: the
+harness fast-forwards between events, so a run simulating minutes of
+traffic finishes in however long the engine calls themselves take, and
+with an injected service-time model it is bit-for-bit reproducible.
 
 :func:`run_load` drives one profile and returns a :class:`LoadReport`
-(p50/p99 latency, throughput, shed/deadline-miss rates, batch-occupancy
-histogram, zero-lost accounting).  :func:`run_serve_bench` is the
+(p50/p99 latency from each request's scheduled arrival, throughput,
+shed/deadline-miss rates, batch-occupancy histogram, zero-lost
+accounting).  :func:`run_serve_bench` is the
 ``python -m repro serve-bench`` scenario: a three-model, two-shape zoo
 with synthetic Def.-1 safety contexts, ending in a bitwise parity audit
 of served responses against direct ``engine_for`` calls and a
@@ -100,7 +101,12 @@ def generate_arrivals(profile: LoadProfile) -> list[Arrival]:
 
 @dataclass
 class LoadReport:
-    """Outcome of one load run; ``lost`` must always be zero."""
+    """Outcome of one load run; ``lost`` must always be zero.
+
+    Latencies run from each request's scheduled arrival to its
+    completion, so time a request spent waiting to be submitted behind a
+    batch that held the clock past its arrival counts against the server.
+    """
 
     n_requests: int
     ok: int
@@ -160,18 +166,19 @@ def run_load(
     profile: LoadProfile,
     keep_responses: bool = False,
 ) -> "LoadReport | tuple[LoadReport, list]":
-    """Drive ``profile`` through ``server`` (simulated mode) to completion.
+    """Drive ``profile`` through ``server`` to completion.
 
     Interleaves scheduled arrivals with due batch flushes on the server's
-    clock, then drains.  With ``keep_responses`` the per-request
-    ``(Arrival, images, PendingResponse)`` triples come back too, for
-    parity audits against direct engine calls.
+    clock, then drains.  A request is submitted at its arrival, or as
+    soon as the batch holding the clock past it ends.  With
+    ``keep_responses`` the per-request ``(Arrival, images,
+    PendingResponse)`` triples come back too, for parity audits against
+    direct engine calls.
     """
-    if server._thread is not None:
-        raise RuntimeError("run_load drives the server itself; don't start() it")
     rng = np.random.default_rng(profile.seed + 1)
     arrivals = generate_arrivals(profile)
     records: list[tuple[Arrival, np.ndarray, PendingResponse]] = []
+    submitted: list[float] = []  # clock instant of each submit
     start = server.clock.now()
     with observe.span("serve.load", requests=profile.n_requests):
         for arrival in arrivals:
@@ -185,27 +192,32 @@ def run_load(
             images = rng.standard_normal(
                 (arrival.rows,) + tuple(arrival.mix.row_shape)
             ).astype(np.float32)
+            submitted.append(server.clock.now())
             response = server.submit(
                 arrival.mix.key, images, deadline=profile.deadline
             )
             records.append((arrival, images, response))
             server.pump()  # full batches flush immediately
         server.run_until_idle()
-    report = _summarize(server, profile, records, start)
+    report = _summarize(server, records, submitted, start)
     return (report, records) if keep_responses else report
 
 
 def _summarize(
     server: PruneServer,
-    profile: LoadProfile,
     records: list,
+    submitted: list[float],
     start: float,
 ) -> LoadReport:
     statuses = [resp.status for _, _, resp in records]
     lost = sum(1 for s in statuses if s not in TERMINAL)
-    latencies = np.array(
-        [resp.latency for _, _, resp in records if resp.status == "ok"]
-    )
+    # A response's own latency runs from its submit; completion minus the
+    # scheduled arrival also charges the wait to be submitted.
+    latencies = np.array([
+        sent + resp.latency - (start + arrival.t)
+        for (arrival, _, resp), sent in zip(records, submitted)
+        if resp.status == "ok"
+    ])
     metrics = server.metrics()
     occupancies = metrics["occupancies"]
     hist: dict[int, int] = {}

@@ -157,8 +157,8 @@ class Trainer:
             nesterov=cfg.nesterov,
         )
         # The compiled-training seam: static forward+backward plans with a
-        # per-batch tape fallback (REPRO_TRAINC=0, untraceable model, or
-        # failed compile-time validation) — see repro.infer.trainengine.
+        # per-batch tape fallback (untraceable model or failed
+        # compile-time validation) — see repro.infer.trainengine.
         engine = train_engine_for(self.model, self.loss_fn, optimizer)
         history = History()
         self.model.train()

@@ -10,7 +10,8 @@ from repro.analysis.backselect import (
     cross_model_confidence_matrix,
     informative_pixel_mask,
 )
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
+from repro.autograd import functional as F
 
 
 class PixelReader(nn.Module):
@@ -67,16 +68,13 @@ class TestBackselectOrder:
         backselect_order(model, rng.random((3, 4, 4)).astype(np.float32), pixels_per_step=8)
         assert model.training
 
-    def test_chunked_candidates_match_full_materialization(self, rng, monkeypatch):
+    def test_chunked_candidates_match_full_materialization(self, rng):
         """Per-chunk candidate generation must reproduce the old full-set order.
 
         The reference below materializes every candidate at once (the old
-        O((H·W)²·C) path) and evaluates it at the same batch boundaries.
-        Run through the plain module path so both sides chunk identically.
+        O((H·W)²·C) path) and evaluates it through the plain module
+        forward at the same batch boundaries.
         """
-        monkeypatch.setenv("REPRO_INFER", "0")
-        from repro.analysis.backselect import _confidences
-
         model = PixelReader([3, 9])
         image = rng.random((3, 4, 4)).astype(np.float32)
         c, h, w = image.shape
@@ -92,9 +90,13 @@ class TestBackselectOrder:
                 current.reshape(1, c, n_pixels), len(remaining), axis=0
             )
             cand[np.arange(len(remaining)), :, remaining] = 0.0
-            conf = _confidences(
-                model, cand.reshape(-1, c, h, w), target, batch_size
-            )
+            cand = cand.reshape(-1, c, h, w)
+            with no_grad():
+                conf = np.concatenate([
+                    F.softmax(model(Tensor(cand[lo : lo + batch_size])), axis=1)
+                    .data[:, target]
+                    for lo in range(0, len(cand), batch_size)
+                ])
             best = np.argsort(-conf, kind="stable")[:2]
             for b in sorted(best.tolist(), reverse=True):
                 pixel = remaining.pop(b)

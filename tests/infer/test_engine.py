@@ -350,14 +350,6 @@ class TestFallback:
             assert_parity(engine.logits(images[:rows]), want)
         assert not engine.compiled_for(images)
 
-    def test_opt_out_env(self, images, monkeypatch):
-        monkeypatch.setenv("REPRO_INFER", "0")
-        model = make_tiny_cnn()
-        engine = InferenceEngine(model)
-        got = engine.logits(images)
-        assert not engine.compiled_for(images)
-        np.testing.assert_array_equal(got, module_logits(model, images))
-
     def test_fallback_restores_train_mode_on_exception(self, images):
         class Boom(nn.Module):
             def forward(self, x):

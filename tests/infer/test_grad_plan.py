@@ -175,11 +175,9 @@ class TestFusedConvBnReluGradients:
 
 
 @pytest.mark.parametrize("name", available_models())
-def test_registry_compiled_step_smoke(name, monkeypatch):
+def test_registry_compiled_step_smoke(name):
     """Tier-1 canary: every registry architecture takes one *compiled*
-    training step — compile, validate against the tape, and apply — with
-    the environment override pinned on."""
-    monkeypatch.setenv("REPRO_TRAINC", "1")
+    training step — compile, validate against the tape, and apply."""
     model = build_model(name, rng=np.random.default_rng(3))
     rng = np.random.default_rng(0)
     shape = (4, 3, 4, 4) if name == "mlp" else (4, 3, 16, 16)
@@ -227,11 +225,10 @@ def test_tape_reference_leaves_no_reference_cycles(batch):
         gc.enable()
 
 
-def test_tape_fallback_step_frees_its_tape(batch, monkeypatch):
+def test_tape_fallback_step_frees_its_tape(batch):
     """A step on the tape fallback lets its graph die with the call: the
-    loss it computed is gone once ``step`` returns, without the cyclic
-    garbage collector."""
-    monkeypatch.setenv("REPRO_TRAINC", "0")
+    loss it computed is gone once ``_tape_step`` returns, without the
+    cyclic garbage collector."""
     x, y = batch
     model = make_tiny_cnn()
     losses = []
@@ -245,8 +242,7 @@ def test_tape_fallback_step_frees_its_tape(batch, monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        engine.step(x, y)
-        assert not engine.compiled_for(x, y)
+        engine._tape_step(x, y)
         assert losses[0]() is None
         assert gc.collect() == 0
     finally:
@@ -340,11 +336,10 @@ def test_failed_validation_falls_back_to_the_tape(batch, monkeypatch):
     engine = TrainEngine(model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.1))
     loss, logits = engine.step(x, y)
     assert not engine.compiled_for(x, y)
-    monkeypatch.setenv("REPRO_TRAINC", "0")
     tape = TrainEngine(
         tape_model, CrossEntropyLoss(), SGD(tape_model.parameters(), lr=0.1)
     )
-    tape_loss, tape_logits = tape.step(x, y)
+    tape_loss, tape_logits = tape._tape_step(x, y)
     assert loss == tape_loss
     np.testing.assert_array_equal(logits, tape_logits)
     want = tape_model.state_dict()
@@ -367,16 +362,17 @@ def test_prune_between_steps_keeps_the_plan(batch, monkeypatch):
 
     monkeypatch.setattr(GradPlan, "__init__", counted_init)
 
-    def prune_and_retrain(model):
+    def prune_and_retrain(model, tape=False):
         engine = TrainEngine(
             model, CrossEntropyLoss(),
             SGD(model.parameters(), lr=0.1, momentum=0.9), exact=True,
         )
-        engine.step(x, y)
+        step = engine._tape_step if tape else engine.step
+        step(x, y)
         build_method("wt").prune(model, 0.5)
         engine.optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
         for _ in range(3):
-            engine.step(x, y)
+            step(x, y)
         return engine
 
     model = make_tiny_cnn()
@@ -387,9 +383,8 @@ def test_prune_between_steps_keeps_the_plan(batch, monkeypatch):
         if isinstance(module, PrunableWeightMixin):
             assert module.num_pruned > 0
             assert module.mask_violations() == 0
-    monkeypatch.setenv("REPRO_TRAINC", "0")
     tape_model = make_tiny_cnn()
-    prune_and_retrain(tape_model)
+    prune_and_retrain(tape_model, tape=True)
     assert len(builds) == 1
     want = tape_model.state_dict()
     for name, value in model.state_dict().items():

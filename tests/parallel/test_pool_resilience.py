@@ -173,13 +173,13 @@ class TestCollectSerial:
                 _always_oserror, [7], jobs=1, retry_policy=FAST, max_retries=1
             )
 
-    def test_env_retry_budget_honoured(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+    def test_zero_retry_budget_honoured(self, tmp_path):
         out = parallel_map(
             _flaky,
             [(str(tmp_path / "marker"), 4)],
             jobs=1,
             on_error="collect",
+            max_retries=0,
         )
         assert not out.ok and out.failures[0].attempts == 1
 

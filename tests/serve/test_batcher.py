@@ -14,7 +14,6 @@ from repro.serve import (
     TERMINAL,
     DynamicBatcher,
     GroupKey,
-    MonotonicClock,
     Request,
     VirtualClock,
 )
@@ -197,15 +196,10 @@ class TestPendingResponse:
 class TestClocks:
     def test_virtual_clock_moves_only_on_demand(self):
         clock = VirtualClock()
-        assert clock.virtual and clock.now() == 0.0
+        assert clock.now() == 0.0
         clock.sleep(1.5)
         clock.advance_to(2.0)
         clock.advance_to(1.0)  # never moves backwards
         assert clock.now() == 2.0
         with pytest.raises(ValueError):
             clock.sleep(-1.0)
-
-    def test_monotonic_clock_is_wall_time(self):
-        clock = MonotonicClock()
-        assert not clock.virtual
-        assert clock.now() > 0

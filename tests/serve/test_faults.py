@@ -1,22 +1,17 @@
-"""Fault containment and concurrency: chaos drills and a threaded hammer.
+"""Fault containment: chaos drills on the serving loop.
 
 The chaos tests run on the virtual clock (retry backoff sleeps are free)
 and scope injection to one model's serve key, proving a faulting engine
-fails only its own batches while the rest of the zoo keeps serving.  The
-threaded hammer is tier2: it exercises the wall-clock executor with real
-threads, which necessarily waits on real time.
+fails only its own batches while the rest of the zoo keeps serving.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
 
 from repro.infer import engine_for
 from repro.resilience import chaos
-from repro.serve import MonotonicClock, PruneServer, ServeConfig
 from tests.serve.conftest import images_for, make_registry, make_server
 
 KEY0, KEY1 = "cnn0/wt@0.5", "cnn1/wt@0.5"
@@ -100,83 +95,3 @@ class TestChaosContainment:
             c.attrs.get("error") for c in run.children if c.name == "serve.batch"
         ]
         assert sorted(e is not None for e in errors) == [False, True]
-
-
-@pytest.mark.tier2
-class TestThreadedHammer:
-    def test_concurrent_mixed_shape_traffic_all_served(self, rng):
-        """Thread hammer: concurrent submitters, mixed models and shapes,
-        every request terminal, served values bitwise-correct."""
-        registry = make_registry(n_models=2, batch_size=8)
-        server = PruneServer(
-            registry,
-            ServeConfig(max_wait=0.002, max_pending=4096, default_deadline=None),
-            MonotonicClock(),
-        )
-        payloads = []  # (key, images) per request, built up front
-        seeds = np.random.default_rng(5).integers(0, 2**31, size=8)
-        for i, seed in enumerate(seeds):
-            local = np.random.default_rng(seed)
-            for _ in range(10):
-                key = KEY0 if local.integers(2) else KEY1
-                shape = (3, 8, 8) if local.integers(2) else (3, 16, 16)
-                rows = int(local.integers(1, 5))
-                payloads.append(
-                    (key, local.standard_normal((rows,) + shape).astype(np.float32))
-                )
-        chunks = np.array_split(np.arange(len(payloads)), 8)
-        responses: dict[int, object] = {}
-        lock = threading.Lock()
-
-        def submitter(indices):
-            for i in indices:
-                key, images = payloads[i]
-                response = server.submit(key, images)
-                with lock:
-                    responses[i] = response
-
-        with server.start():
-            threads = [
-                threading.Thread(target=submitter, args=(chunk,))
-                for chunk in chunks
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            for response in responses.values():
-                assert response.wait(timeout=30.0)
-        assert len(responses) == len(payloads)
-        assert all(r.status == "ok" for r in responses.values())
-        # Spot-check bitwise parity against the adopted engines.
-        check = np.random.default_rng(6).choice(len(payloads), size=16, replace=False)
-        for i in check:
-            key, images = payloads[i]
-            direct = engine_for(registry.model(key)).logits(images)
-            np.testing.assert_array_equal(responses[i].value, direct)
-
-    def test_stop_without_drain_sheds_backlog(self, rng):
-        registry = make_registry(n_models=1)
-        server = PruneServer(
-            registry,
-            # A long window keeps the backlog queued until stop().
-            ServeConfig(max_wait=60.0, max_pending=64, default_deadline=None),
-            MonotonicClock(),
-        )
-        server.start()
-        responses = [server.submit(KEY0, images_for(rng)) for _ in range(3)]
-        server.stop(drain=False)
-        assert all(r.status == "shed" for r in responses)
-        assert server.pending == 0
-
-    def test_stop_with_drain_serves_backlog(self, rng):
-        registry = make_registry(n_models=1)
-        server = PruneServer(
-            registry,
-            ServeConfig(max_wait=60.0, max_pending=64, default_deadline=None),
-            MonotonicClock(),
-        )
-        server.start()
-        responses = [server.submit(KEY0, images_for(rng)) for _ in range(3)]
-        server.stop(drain=True)
-        assert all(r.status == "ok" for r in responses)

@@ -1,4 +1,4 @@
-"""Load-harness unit tests: seeded arrivals and closed-loop accounting.
+"""Load-harness unit tests: seeded arrivals and open-loop accounting.
 
 All tier-1: the server runs on a virtual clock with an injected constant
 service time, so a full load run is pure simulation — no wall sleeps.
@@ -114,12 +114,15 @@ class TestRunLoad:
             assert a_resp.status == b_resp.status
             assert a_resp.latency == b_resp.latency
 
-    def test_rejects_threaded_server(self):
-        registry = make_registry(n_models=2)
-        server = make_server(registry)
-        server._thread = object()
-        try:
-            with pytest.raises(RuntimeError, match="drives the server"):
-                run_load(server, LoadProfile(mixes=MIXES, n_requests=1))
-        finally:
-            server._thread = None
+    def test_latency_counts_from_the_scheduled_arrival(self):
+        """A batch that holds the clock past later arrivals delays their
+        submits; the report charges that wait, the responses' own
+        latencies (from submit) do not."""
+        server = make_server(make_registry(n_models=2), service_s=0.02)
+        profile = LoadProfile(
+            mixes=MIXES, n_requests=60, mean_interarrival=0.001, sigma=0.0
+        )
+        report, records = run_load(server, profile, keep_responses=True)
+        own = [r.latency for _, _, r in records if r.status == "ok"]
+        assert report.ok == len(own) > 0
+        assert report.latency_p99_s > np.percentile(own, 99)

@@ -68,18 +68,6 @@ class TestEndToEnd:
         server.run_until_idle()
         assert response.latency == pytest.approx(0.010 + SERVICE_S)
 
-    def test_run_until_idle_rejects_threaded_server(self, server):
-        server._thread = object()
-        try:
-            with pytest.raises(RuntimeError, match="non-threaded"):
-                server.run_until_idle()
-        finally:
-            server._thread = None
-
-    def test_start_rejects_virtual_clock(self, server):
-        with pytest.raises(ValueError, match="wall clock"):
-            server.start()
-
 
 class TestBitwiseParity:
     def test_coalesced_rows_equal_direct_engine_calls(self, server, rng):

@@ -2,8 +2,8 @@
 
 The compiled engine is the default; these tests pin its contract to the
 tape path: same ``History`` within tolerance (bitwise under the exact
-kernel table), clean opt-out via ``REPRO_TRAINC=0``, the hoisted
-no-augmentation normalization, and the empty-train-set error.
+kernel table), the hoisted no-augmentation normalization, and the
+empty-train-set error.
 """
 
 import functools
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import Dataset, Normalizer
-from repro.infer import train_engine_for
+from repro.infer import TraceError, train_engine_for
 from repro.infer.trainengine import _TRAIN_ENGINES
 
 from tests.conftest import make_tiny_cnn, make_tiny_suite, make_tiny_trainer
@@ -28,11 +28,21 @@ def train_fresh(seed=3, epochs=2, **trainer_kw):
     return model, trainer.train()
 
 
+def train_on_tape(monkeypatch, **kw):
+    """``train_fresh`` with every step on the tape: no model traces."""
+    import repro.infer.trainengine as trainengine_mod
+
+    def untraceable(*args, **kwargs):
+        raise TraceError("reference run on the tape")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trainengine_mod, "trace_training", untraceable)
+        return train_fresh(**kw)
+
+
 class TestCompiledVsTape:
     def test_history_and_weights_match_tape(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAINC", "0")
-        tape_model, tape_history = train_fresh()
-        monkeypatch.setenv("REPRO_TRAINC", "1")
+        tape_model, tape_history = train_on_tape(monkeypatch)
         fast_model, fast_history = train_fresh()
         np.testing.assert_allclose(
             fast_history.losses(), tape_history.losses(), rtol=1e-3
@@ -50,9 +60,7 @@ class TestCompiledVsTape:
         loss, every weight — reproduces the tape bit for bit."""
         import repro.training.trainer as trainer_mod
 
-        monkeypatch.setenv("REPRO_TRAINC", "0")
-        tape_model, tape_history = train_fresh()
-        monkeypatch.setenv("REPRO_TRAINC", "1")
+        tape_model, tape_history = train_on_tape(monkeypatch)
         monkeypatch.setattr(
             trainer_mod,
             "train_engine_for",
@@ -66,28 +74,18 @@ class TestCompiledVsTape:
                 exact_state[key], tape_state[key], err_msg=key
             )
 
-    def test_compiled_path_actually_used(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAINC", "1")
+    def test_compiled_path_actually_used(self):
         model, _ = train_fresh(epochs=1)
         engine = _TRAIN_ENGINES.get(model)
         assert engine is not None
         assert any(plan is not None for plan in engine._plans.values())
 
-    def test_shared_engine_dies_with_its_model(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAINC", "1")
+    def test_shared_engine_dies_with_its_model(self):
         model, _ = train_fresh(epochs=1)
         ref = weakref.ref(_TRAIN_ENGINES[model])
         del model
         gc.collect()
         assert ref() is None
-
-    def test_trainc_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAINC", "0")
-        model, history = train_fresh(epochs=1)
-        assert len(history) == 1
-        engine = _TRAIN_ENGINES.get(model)
-        # The engine seam is still entered, but nothing ever compiles.
-        assert engine is None or not engine._plans
 
 
 class TestTrainerEdgeCases:
