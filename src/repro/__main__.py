@@ -269,6 +269,10 @@ def cmd_serve_bench(args) -> int:
         ["plan memory", f"{report['registry']['plan_memory_bytes'] / 2**20:.1f} MiB "
          f"({report['registry']['evictions']} evictions)"],
         ["bitwise parity", "ok" if report["parity"]["bitwise_equal"] else "FAILED"],
+        ["host load 1/5/15 min", ", ".join(
+            f"{when} " + "/".join(f"{x:.2f}" for x in report["host_load"][when])
+            for when in ("start", "end")
+        )],
     ]
     print(
         format_table(

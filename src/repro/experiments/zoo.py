@@ -412,7 +412,7 @@ def _prune_run(spec: ZooSpec, scale: ExperimentScale):
 
 
 def _build_cell(payload: tuple[ZooSpec, ExperimentScale]) -> CellTiming:
-    """Materialize one artifact (worker-side); must stay module-level."""
+    """Materialize one artifact (worker-side)."""
     spec, scale = payload
     kind = "parent" if spec.method_name is None else "prune_run"
     t0 = time.perf_counter()

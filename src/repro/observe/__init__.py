@@ -12,10 +12,10 @@ This package records what actually happened:
   counters (cache hits/misses, eval cells), gauges, and histogram
   observations (batches/s, per-layer prune ratios);
 - **run ledger** — every record is one JSON line appended (and flushed)
-  to a per-run ``*.jsonl`` stream.  Worker processes spawned by
+  to a per-run ``*.jsonl`` stream.  Worker processes forked by
   :mod:`repro.parallel.pool` write sibling ``*.worker-<pid>.jsonl``
-  streams that the parent merges on pool join under the PR-1 file lock,
-  so one file tells the whole multi-process story;
+  streams that the parent merges on pool join under the ledger's file
+  lock, so one file tells the whole multi-process story;
 - **trace report** — ``python -m repro trace <run.jsonl>`` renders the
   span tree with timings and metric rollups (:mod:`repro.observe.trace`).
 
@@ -29,7 +29,6 @@ instrumented hot loops pay nothing.
 from repro.observe.core import (
     DIR_ENV,
     ENV_VAR,
-    LEDGER_ENV,
     NULL_SPAN,
     Span,
     configure,
@@ -53,7 +52,6 @@ from repro.observe.trace import TraceReport, load_report
 __all__ = [
     "ENV_VAR",
     "DIR_ENV",
-    "LEDGER_ENV",
     "NULL_SPAN",
     "Span",
     "configure",

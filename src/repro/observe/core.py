@@ -9,15 +9,13 @@ relies on — can import it without cycles.
 Process model
 -------------
 The process that calls :func:`configure` (or first emits under
-``REPRO_OBSERVE=1``) owns the run ledger and writes to it directly.  The
-configuration is exported through environment variables
-(``REPRO_OBSERVE_LEDGER``), so worker processes — whether forked (inherit
-this module's state) or spawned (re-read the environment) — detect that
-their pid differs from the owner's and write to a sibling
-``*.worker-<pid>.jsonl`` stream instead; the parent merges those on pool
-join.  Span parentage crosses the fork: a cell span opened in a forked
-worker records the parent process's enclosing span as its parent, so the
-merged ledger renders as one tree.
+``REPRO_OBSERVE=1``) owns the run ledger and writes to it directly.  Pool
+workers are forked: each inherits this module's state, finds that the
+state's pid is not its own, and moves onto a sibling
+``*.worker-<pid>.jsonl`` stream; the parent merges those on pool join.
+Span parentage crosses the fork: a cell span opened in a forked worker
+records the parent process's enclosing span as its parent, so the merged
+ledger renders as one tree.
 
 Disabled fast path
 ------------------
@@ -37,7 +35,6 @@ from typing import Any, Iterator
 
 ENV_VAR = "REPRO_OBSERVE"
 DIR_ENV = "REPRO_OBSERVE_DIR"
-LEDGER_ENV = "REPRO_OBSERVE_LEDGER"
 DEFAULT_DIR = ".cache/repro/observe"
 
 _FALSY = ("", "0", "false", "off", "no")
@@ -52,19 +49,12 @@ class _State:
 
     __slots__ = ("ledger_path", "pid", "writer", "stack", "next_id")
 
-    def __init__(self, ledger_path: Path):
-        from repro.observe.ledger import LedgerWriter, worker_stream_path
+    def __init__(self, ledger_path: Path, stream: Path | None = None):
+        from repro.observe.ledger import LedgerWriter
 
         self.ledger_path = Path(ledger_path)
         self.pid = os.getpid()
-        owner = os.environ.get(LEDGER_ENV + "_OWNER", "")
-        is_worker = owner.isdigit() and int(owner) != self.pid
-        target = (
-            worker_stream_path(self.ledger_path, self.pid)
-            if is_worker
-            else self.ledger_path
-        )
-        self.writer = LedgerWriter(target)
+        self.writer = LedgerWriter(stream or self.ledger_path)
         self.stack: list[Span] = []
         self.next_id = 0
 
@@ -76,17 +66,12 @@ def _get_state() -> _State | None:
     """The active state, re-targeted after a fork, or ``None`` if disabled.
 
     The check order keeps the disabled path to one dict lookup: explicit
-    :func:`configure` wins, then the environment (which also lets a child
-    process of a configured run attach itself)."""
+    :func:`configure` wins, then the environment."""
     global _state
     if _state is None:
         if not _env_enabled():
             return None
-        ledger = os.environ.get(LEDGER_ENV, "").strip()
-        path = Path(ledger) if ledger else _default_ledger_path()
-        if not ledger:
-            _export_env(path)
-        _state = _State(path)
+        _state = _State(_default_ledger_path())
     elif _state.pid != os.getpid():
         # Forked child: inherit the run (and the open span stack, so spans
         # recorded here keep their cross-process parents) but write to a
@@ -96,13 +81,18 @@ def _get_state() -> _State | None:
 
 
 def _fork_attach(parent_state: _State) -> _State:
-    state = _State(parent_state.ledger_path)
+    from repro.observe.ledger import worker_stream_path
+
+    path = parent_state.ledger_path
+    state = _State(path, worker_stream_path(path, os.getpid()))
     state.stack = list(parent_state.stack)
     return state
 
 
-def _default_ledger_path() -> Path:
-    directory = Path(os.environ.get(DIR_ENV, "").strip() or DEFAULT_DIR)
+def _default_ledger_path(directory: str | Path | None = None) -> Path:
+    directory = Path(
+        directory or os.environ.get(DIR_ENV, "").strip() or DEFAULT_DIR
+    )
     stamp = time.strftime("%Y%m%d-%H%M%S")
     path = directory / f"run-{stamp}-{os.getpid()}.jsonl"
     n = 1
@@ -112,47 +102,32 @@ def _default_ledger_path() -> Path:
     return path
 
 
-def _export_env(path: Path) -> None:
-    os.environ[LEDGER_ENV] = str(path)
-    os.environ[LEDGER_ENV + "_OWNER"] = str(os.getpid())
-
-
 def configure(
     dir: str | Path | None = None,
     path: str | Path | None = None,
 ) -> Path:
-    """Enable observation for this process tree and return the ledger path.
+    """Enable observation for this process and its forked workers.
 
-    ``path`` names the ledger file exactly; otherwise a timestamped
-    ``run-*.jsonl`` is created under ``dir`` (default: ``REPRO_OBSERVE_DIR``
-    or ``.cache/repro/observe``).  Also sets ``REPRO_OBSERVE=1`` plus the
-    ledger-path variables so worker processes attach automatically.
+    Returns the ledger path.  ``path`` names the ledger file exactly;
+    otherwise a timestamped ``run-*.jsonl`` is created under ``dir``
+    (default: ``REPRO_OBSERVE_DIR`` or ``.cache/repro/observe``).
     """
     global _state
     shutdown()
-    if path is None:
-        directory = Path(dir) if dir is not None else None
-        if directory is not None:
-            os.environ[DIR_ENV] = str(directory)
-        path = _default_ledger_path()
-    os.environ[ENV_VAR] = "1"
-    _export_env(Path(path))
-    _state = _State(Path(path))
+    _state = _State(Path(path) if path is not None else _default_ledger_path(dir))
     return _state.ledger_path
 
 
 def shutdown() -> None:
     """Flush and disable observation in this process (test teardown hook).
 
-    Clears both the in-process state and the exported environment, so a
-    subsequent :func:`enabled` reflects only the caller's environment.
+    After it, :func:`enabled` reflects only ``REPRO_OBSERVE`` in the
+    environment.
     """
     global _state
     if _state is not None:
         _state.writer.close()
         _state = None
-    for key in (ENV_VAR, LEDGER_ENV, LEDGER_ENV + "_OWNER"):
-        os.environ.pop(key, None)
 
 
 def enabled() -> bool:

@@ -5,9 +5,9 @@ artifact) need two guarantees:
 
 - **mutual exclusion** while an artifact is being trained, so the same
   (task, model, method, repetition) is never trained twice — provided by
-  :class:`FileLock`, an advisory inter-process lock backed by
-  ``fcntl.flock`` where available (released by the kernel even if the
-  holder crashes) with an ``O_EXCL`` spin-lock fallback elsewhere;
+  :class:`FileLock`, an advisory inter-process ``fcntl.flock`` lock that
+  the kernel releases when its holder dies, so a killed build leaves no
+  lock behind;
 - **atomic publication**, so a reader never observes a half-written
   archive — provided by :func:`atomic_write`, which stages writes to a
   temporary file in the destination directory and promotes it with
@@ -16,43 +16,26 @@ artifact) need two guarantees:
 
 from __future__ import annotations
 
+import fcntl
 import os
 import tempfile
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
-
-try:  # pragma: no cover - platform probe
-    import fcntl
-
-    _HAVE_FLOCK = True
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    _HAVE_FLOCK = False
-
-
-class LockTimeout(TimeoutError):
-    """Raised when a :class:`FileLock` cannot be acquired in time."""
 
 
 class FileLock:
     """Advisory inter-process lock on a filesystem path.
 
-    Not reentrant.  The lock file itself is left in place after release
-    (unlinking a lock file while another process holds its descriptor
-    re-introduces the race the lock exists to prevent); lock files are
-    zero-byte ``*.lock`` siblings of the artifact they guard.
+    Not reentrant.  :meth:`acquire` blocks until the lock is free.  The
+    lock file itself is left in place after release (unlinking a lock
+    file while another process holds its descriptor re-introduces the
+    race the lock exists to prevent); lock files are zero-byte
+    ``*.lock`` siblings of the artifact they guard.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        timeout: float | None = None,
-        poll_interval: float = 0.05,
-    ):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.timeout = timeout
-        self.poll_interval = poll_interval
         self._fd: int | None = None
 
     @property
@@ -63,30 +46,13 @@ class FileLock:
         if self._fd is not None:
             raise RuntimeError(f"lock {self.path} already held by this object")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        deadline = None if self.timeout is None else time.monotonic() + self.timeout
-        if _HAVE_FLOCK:
-            fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-            while True:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    break
-                except OSError:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        os.close(fd)
-                        raise LockTimeout(f"timed out waiting for {self.path}")
-                    time.sleep(self.poll_interval)
-            self._fd = fd
-        else:  # pragma: no cover - exercised only on non-POSIX platforms
-            while True:
-                try:
-                    self._fd = os.open(
-                        self.path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o644
-                    )
-                    break
-                except FileExistsError:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        raise LockTimeout(f"timed out waiting for {self.path}")
-                    time.sleep(self.poll_interval)
+        fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
         # Fault injection: may hold the freshly acquired lock to starve
         # concurrent waiters (no-op unless chaos is enabled).  Imported
         # lazily — chaos pulls in repro.observe, which must stay
@@ -100,15 +66,8 @@ class FileLock:
         if self._fd is None:
             return
         fd, self._fd = self._fd, None
-        if _HAVE_FLOCK:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-        else:  # pragma: no cover
-            os.close(fd)
-            try:
-                self.path.unlink()
-            except FileNotFoundError:
-                pass
+        fcntl.flock(fd, fcntl.LOCK_UN)
+        os.close(fd)
 
     def __enter__(self) -> "FileLock":
         return self.acquire()
@@ -117,10 +76,10 @@ class FileLock:
         self.release()
 
 
-def artifact_lock(path: str | Path, timeout: float | None = None) -> FileLock:
+def artifact_lock(path: str | Path) -> FileLock:
     """The lock guarding one cached artifact (a ``.lock`` sibling of it)."""
     path = Path(path)
-    return FileLock(path.with_name(path.name + ".lock"), timeout=timeout)
+    return FileLock(path.with_name(path.name + ".lock"))
 
 
 def fsync_path(path: str | Path) -> None:

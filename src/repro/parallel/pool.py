@@ -31,12 +31,11 @@ the faults a multi-hour sweep actually hits:
   the calling process, so serial results are bit-identical to the
   pre-parallel code path and debuggers/profilers see one process.
 
-Worker callables must be picklable (module-level functions), which keeps
-every dispatch site spawn-start-method safe; the start method defaults to
-``fork`` where available (cheap on Linux) and can be forced via the
-``REPRO_MP_START`` environment variable.  Each chunk runs in a dedicated
-worker process, so a crashed or terminated worker never poisons the
-cells that come after it.
+Workers are forked, never spawned: whatever a cell needs (the open grid
+scope, pre-built datasets, the run ledger, the chaos plan) reaches it
+through the fork, so the pool needs POSIX.  Each chunk runs in a
+dedicated worker process, so a crashed or terminated worker never
+poisons the cells that come after it.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 JOBS_ENV = "REPRO_NUM_WORKERS"
-START_METHOD_ENV = "REPRO_MP_START"
 
 #: How often the collection loop wakes to launch work and check deadlines.
 _POLL_SECONDS = 0.05
@@ -150,19 +148,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def resolve_start_method(start_method: str | None = None) -> str:
-    """Explicit arg > ``REPRO_MP_START`` > ``fork`` if available > default."""
-    method = start_method or os.environ.get(START_METHOD_ENV, "").strip() or None
-    available = multiprocessing.get_all_start_methods()
-    if method is None:
-        method = "fork" if "fork" in available else multiprocessing.get_start_method()
-    if method not in available:
-        raise ValueError(
-            f"start method {method!r} unavailable here (have {available})"
-        )
-    return method
-
-
 def default_chunksize(n_items: int, jobs: int) -> int:
     """~4 chunks per worker: small enough to balance, big enough to amortize."""
     return max(1, -(-n_items // (jobs * 4)))
@@ -193,7 +178,7 @@ def _resolve_keys(
 
 
 def _run_cells(result_queue, task_id: int, fn, cells, attempt: int) -> None:
-    """Run one task's cells in a dedicated worker process (module-level).
+    """Run one task's cells in a dedicated, forked worker process.
 
     ``cells`` is a list of ``(index, key, item)``.  Every cell reports an
     ``("ok", index, value)`` or ``("err", index, (type, message, tb))``
@@ -204,7 +189,8 @@ def _run_cells(result_queue, task_id: int, fn, cells, attempt: int) -> None:
     outcomes = []
     for index, key, item in cells:
         try:
-            chaos.on_worker_cell(key, attempt)
+            # A forked worker: an injected crash may hard-exit it.
+            chaos.on_worker_cell(key, attempt, forked_worker=True)
             outcomes.append(("ok", index, fn(item)))
         except BaseException as exc:  # noqa: BLE001 - repackaged for the parent
             outcomes.append(
@@ -292,7 +278,6 @@ def _engine(
     keys,
     jobs,
     chunksize,
-    start_method,
     policy,
     timeout,
     on_error,
@@ -300,7 +285,7 @@ def _engine(
 ):
     """Deadline-polled parallel collection with retry and crash recovery."""
     _MISSING = object()
-    ctx = multiprocessing.get_context(resolve_start_method(start_method))
+    ctx = multiprocessing.get_context("fork")
     result_queue = ctx.Queue()
     n = len(items)
     results: list[Any] = [_MISSING] * n
@@ -470,8 +455,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: int | None = None,
-    chunksize: int | None = None,
-    start_method: str | None = None,
     *,
     on_error: str = "raise",
     max_retries: int | None = None,
@@ -479,12 +462,13 @@ def parallel_map(
     timeout: float | None = None,
     keys: Sequence[str] | Callable[[T], str] | None = None,
 ) -> list[R] | MapOutcome:
-    """Map ``fn`` over ``items`` across ``jobs`` worker processes.
+    """Map ``fn`` over ``items`` across ``jobs`` forked worker processes.
 
     Results come back positionally.  At ``jobs=1`` the map runs serially
     in-process and exceptions propagate unwrapped; in parallel mode a
     worker failure raises :class:`WorkerError` with the remote traceback
-    attached.
+    attached.  Each worker runs one chunk of
+    :func:`default_chunksize` cells.
 
     Resilience knobs (all optional):
 
@@ -505,11 +489,6 @@ def parallel_map(
     if not callable(fn):
         raise ValueError(f"fn must be callable, got {type(fn).__name__}")
     timeout = resolve_cell_timeout(timeout)
-    if chunksize is not None:
-        if not isinstance(chunksize, int) or isinstance(chunksize, bool):
-            raise ValueError(f"chunksize must be an int, got {chunksize!r}")
-        if chunksize <= 0:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
     if on_error not in ("raise", "collect"):
         raise ValueError(
             f"on_error must be 'raise' or 'collect', got {on_error!r}"
@@ -526,12 +505,11 @@ def parallel_map(
     if jobs == 1 or len(items) <= 1:
         return _serial_map(fn, items, cell_keys, policy, on_error)
     jobs = min(jobs, len(items))
-    if chunksize is None:
-        chunksize = default_chunksize(len(items), jobs)
+    chunksize = default_chunksize(len(items), jobs)
 
-    # Opening the span before the pool forks exports the run-ledger
-    # environment, so worker processes attach their own event streams;
-    # the finally-merge folds those streams back even on worker failure.
+    # Opening the span before the pool forks gives the workers the run
+    # ledger and this span as their parent; each writes its own stream,
+    # and the finally-merge folds those back even on worker failure.
     try:
         with observe.span(
             "parallel_map",
@@ -545,7 +523,6 @@ def parallel_map(
                 cell_keys,
                 jobs,
                 chunksize,
-                start_method,
                 policy,
                 timeout,
                 on_error,

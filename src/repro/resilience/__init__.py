@@ -13,9 +13,11 @@ instead of aborting on the first fault:
   JSON :class:`~repro.resilience.failures.FailureManifest` a degraded
   grid persists next to its artifacts as its post-mortem record;
 - :mod:`repro.resilience.chaos` — a deterministic fault-injection
-  harness (worker exceptions, hard crashes, deadline-blowing delays,
-  torn archive writes, lock starvation), opt-in via ``REPRO_CHAOS`` or
-  :func:`~repro.resilience.chaos.configure`, seeded per cell key.
+  harness (worker exceptions, hard crashes of forked pool workers,
+  deadline-blowing delays, torn archive writes, lock starvation),
+  opt-in via ``REPRO_CHAOS`` or
+  :func:`~repro.resilience.chaos.configure`, seeded per cell key;
+  forked workers inherit the plan.
 
 The execution engine (:mod:`repro.parallel.pool`) consumes retry and
 failure records directly; :func:`repro.experiments.grid.run_grid` and

@@ -12,23 +12,24 @@ Injection sites
 ---------------
 - ``worker.exception`` — raise :class:`ChaosError` (a *transient*,
   retryable failure) at the top of a worker cell;
-- ``worker.crash`` — hard-kill the worker with ``os._exit`` (no cleanup,
-  no result; exercises crash detection and worker replacement).  Never
-  fires in the chaos owner process, so enabling chaos in a test or a
-  serial run cannot kill the test runner itself;
+- ``worker.crash`` — hard-kill a forked pool worker with ``os._exit``
+  (no cleanup, no result; exercises crash detection and worker
+  replacement).  Anywhere else (a serial map, a served batch) it raises
+  :class:`ChaosError` instead, so enabling chaos cannot kill the process
+  that runs the grid or the test runner;
 - ``worker.delay`` — sleep ``delay_seconds`` before running the cell
   (exercises deadlines and hung-worker replacement);
 - ``publish.torn`` — truncate an archive *after* it was atomically
   published (simulates a torn copy / lost-page crash; exercises
   corrupt-archive-as-miss recovery);
 - ``lock.hold`` — hold an acquired file lock for ``lock_hold_seconds``
-  (exercises lock starvation and ``LockTimeout`` retry classification).
+  (exercises lock starvation: waiters block until it is released).
 
 Opt-in via ``chaos.configure(...)`` or the ``REPRO_CHAOS`` environment
 variable: ``1`` enables a mild default profile; a spec string such as
 ``"exception_rate=0.5,crash_rate=0.1,seed=7,only_keys=wt|ft"`` sets
-fields explicitly.  ``configure`` exports the spec back into the
-environment so forked *and* spawned workers inherit the same faults.
+fields explicitly.  Pool workers are forked, so they keep the plan of
+the process that forked them, with fresh per-key counters.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from pathlib import Path
 from repro.resilience.retry import stable_unit
 
 ENV_VAR = "REPRO_CHAOS"
-OWNER_ENV = "REPRO_CHAOS_OWNER"
 
 _FALSY = ("", "0", "false", "off", "no")
 _TRUTHY = ("1", "true", "on", "yes")
@@ -98,22 +98,6 @@ class ChaosConfig:
             )
         )
 
-    # ------------------------------------------------------ env transport
-    def to_spec(self) -> str:
-        """Serialize to the ``REPRO_CHAOS`` spec-string format."""
-        default = ChaosConfig()
-        parts = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value == getattr(default, f.name):
-                continue
-            if f.name == "only_keys":
-                value = "|".join(value)
-            parts.append(f"{f.name}={value}")
-        # An all-default (inactive) config must not serialize to a bare
-        # truthy flag, which would deserialize as DEFAULT_PROFILE.
-        return ",".join(parts) or f"seed={self.seed}"
-
     @classmethod
     def from_spec(cls, spec: str) -> "ChaosConfig":
         """Parse a ``REPRO_CHAOS`` value: truthy flag or ``k=v,...`` spec."""
@@ -167,44 +151,41 @@ _state: _ChaosState | None = None
 
 
 def _get_state() -> _ChaosState | None:
-    """Active chaos state, re-read from the environment when unset or
-    after a fork (a forked worker gets fresh per-key counters)."""
+    """Active chaos state: the configured plan, else ``REPRO_CHAOS``.
+
+    A forked worker keeps the plan it inherited with fresh per-key
+    counters."""
     global _state
-    if _state is not None and _state.pid == os.getpid():
-        return _state
-    raw = os.environ.get(ENV_VAR, "").strip()
-    if raw.lower() in _FALSY:
-        _state = None
-        return None
-    _state = _ChaosState(ChaosConfig.from_spec(raw))
+    if _state is None:
+        raw = os.environ.get(ENV_VAR, "").strip()
+        if raw.lower() in _FALSY:
+            return None
+        _state = _ChaosState(ChaosConfig.from_spec(raw))
+    elif _state.pid != os.getpid():
+        _state = _ChaosState(_state.config)
     return _state
 
 
 def configure(config: ChaosConfig | None = None, **fields) -> ChaosConfig:
-    """Enable chaos for this process tree and return the active config.
+    """Enable chaos for this process and its forked workers.
 
-    Accepts a full :class:`ChaosConfig` or its fields as keywords.  The
-    spec is exported to ``REPRO_CHAOS`` (and this pid to
-    ``REPRO_CHAOS_OWNER``) so worker processes reconstruct the identical
-    fault plan; crash injection is suppressed in the owner process.
+    Accepts a full :class:`ChaosConfig` or its fields as keywords and
+    returns the active config.
     """
     global _state
     if config is None:
         config = ChaosConfig(**fields)
     elif fields:
         config = dataclasses.replace(config, **fields)
-    os.environ[ENV_VAR] = config.to_spec()
-    os.environ[OWNER_ENV] = str(os.getpid())
     _state = _ChaosState(config)
     return config
 
 
 def disable() -> None:
-    """Disable chaos and clear the exported environment."""
+    """Disable chaos, including a ``REPRO_CHAOS`` switch in the environment."""
     global _state
     _state = None
     os.environ.pop(ENV_VAR, None)
-    os.environ.pop(OWNER_ENV, None)
 
 
 def enabled() -> bool:
@@ -256,32 +237,31 @@ def _record(site: str, key: str) -> None:
     observe.event("chaos", site=site, key=key)
 
 
-def _is_owner() -> bool:
-    owner = os.environ.get(OWNER_ENV, "")
-    return owner.isdigit() and int(owner) == os.getpid()
-
-
 # -------------------------------------------------------------------- sites
 
 
-def on_worker_cell(key: str, attempt: int = 0) -> None:
+def on_worker_cell(
+    key: str, attempt: int = 0, forked_worker: bool = False
+) -> None:
     """Worker-cell entry hook: may raise, hard-exit, or stall.
 
-    Called by the pool (and the serial fallback) with the cell's key and
-    attempt number before running the cell function.
+    Called with the cell's key and attempt number before running the
+    cell function: by the pool's forked workers (``forked_worker=True``)
+    and by :meth:`~repro.resilience.retry.RetryPolicy.call` (serial maps,
+    served batches).
     """
     state = _get_state()
     if state is None:
         return
     config = state.config
     if _should(state, "worker.crash", key, config.crash_rate, attempt):
-        if not _is_owner():
+        if forked_worker:
             _record("worker.crash", key)
             os._exit(23)
-        # In the owner process a hard exit would kill the run itself;
-        # degrade the injection to a transient exception instead.
+        # Anywhere else a hard exit would kill the run itself; the
+        # injection becomes a transient exception instead.
         _record("worker.crash-as-exception", key)
-        raise ChaosError(f"chaos: injected crash (owner-degraded) for {key!r}")
+        raise ChaosError(f"chaos: injected crash (raised in-process) for {key!r}")
     if _should(state, "worker.delay", key, config.delay_rate, attempt):
         _record("worker.delay", key)
         time.sleep(config.delay_seconds)

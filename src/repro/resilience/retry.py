@@ -1,13 +1,12 @@
 """Retry policy: transient-failure classification and seeded backoff.
 
 Large sweep grids hit two failure families.  *Transient* faults — a
-worker OOM-killed by the OS, a filesystem hiccup, a lock starved past
-its timeout, an archive torn by a crashed publisher — succeed when the
-cell is simply run again, so the execution engine retries them with
-exponential backoff.  *Deterministic* faults — a ``ValueError`` from a
-bad config, a shape mismatch — fail identically on every attempt, so
-retrying them only burns hours; they go straight to the failure
-manifest.
+worker OOM-killed by the OS, a filesystem hiccup, an archive torn by a
+crashed publisher — succeed when the cell is simply run again, so the
+execution engine retries them with exponential backoff.
+*Deterministic* faults — a ``ValueError`` from a bad config, a shape
+mismatch — fail identically on every attempt, so retrying them only
+burns hours; they go straight to the failure manifest.
 
 Backoff jitter is **seeded per (cell key, attempt)** rather than drawn
 from a global RNG: two runs of the same degraded grid sleep the same
@@ -40,8 +39,6 @@ RETRYABLE_TYPES = frozenset({
     "ConnectionResetError",
     "ConnectionRefusedError",
     "TimeoutError",
-    # Cache-coordination transients.
-    "LockTimeout",
     # Corrupt-archive signatures: a torn or half-published ``.npz`` read
     # concurrently with its re-publication.  The zoo treats these as
     # cache misses, so a retry lands on a valid archive.
@@ -142,10 +139,11 @@ class RetryPolicy:
         """``fn(*args)``, retried under this policy.
 
         Each attempt first runs the chaos hook for ``key`` (where a real
-        fault would surface), then the call.  A transient ``Exception``
-        is retried after ``sleep(backoff(attempt, key))`` while budget
-        remains, calling ``on_retry()`` first; anything else propagates
-        as raised.  Only ``Exception`` is caught, so ``KeyboardInterrupt``
+        fault would surface; an injected crash raises ``ChaosError``
+        here, in the caller's process), then the call.  A transient
+        ``Exception`` is retried after ``sleep(backoff(attempt, key))``
+        while budget remains, calling ``on_retry()`` first; anything
+        else propagates as raised.  Only ``Exception`` is caught, so ``KeyboardInterrupt``
         (Ctrl-C) and ``SystemExit`` always stop the caller.
         """
         # Lazy import: chaos imports this module for its seeded draws.

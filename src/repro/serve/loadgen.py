@@ -21,6 +21,7 @@ of served responses against direct ``engine_for`` calls and a
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -338,8 +339,12 @@ def run_serve_bench(
     itself needs no wall-clock waiting.  A seeded sample of served
     responses is re-computed through direct ``engine_for`` calls and must
     match **bitwise**.  Returns the full report dict (also written to
-    ``out`` as JSON when given).
+    ``out`` as JSON when given).  Other processes on the host slow the
+    measured engine time, and so inflate the latencies: ``host_load``
+    records the 1/5/15-minute load averages at the start and the end of
+    the run.
     """
+    load_at_start = os.getloadavg()
     registry = build_bench_registry(seed=seed, budget_mb=budget_mb)
     keys = registry.keys()
     server = PruneServer(
@@ -376,6 +381,7 @@ def run_serve_bench(
         "safety": {
             key: registry.safety_context(key).to_dict() for key in keys
         },
+        "host_load": {"start": list(load_at_start), "end": list(os.getloadavg())},
     }
     if out is not None:
         Path(out).write_text(json.dumps(result, indent=2) + "\n")

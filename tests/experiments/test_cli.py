@@ -105,7 +105,6 @@ class TestResilienceCLI:
         from repro.resilience import chaos
 
         monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-        monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
         # Every parent dies at once, so every prune run is a dependency
         # failure and nothing trains.
         chaos.configure(exception_rate=1.0, only_keys=("-parent-",))

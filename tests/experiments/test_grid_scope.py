@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import os
 import warnings
 from collections import Counter
@@ -47,16 +46,7 @@ SEVERITIES = (1, 4)
 SPECS = [ZooSpec("cifar", "resnet20", "wt", rep) for rep in range(MICRO.n_repetitions)]
 SPEC = SPECS[0]
 
-JOBS = [
-    1,
-    pytest.param(
-        2,
-        marks=pytest.mark.skipif(
-            "fork" not in multiprocessing.get_all_start_methods(),
-            reason="counts loads via fork-inherited monkeypatches",
-        ),
-    ),
-]
+JOBS = [1, 2]
 
 
 @pytest.fixture(scope="module")
@@ -294,10 +284,6 @@ class TestCheckpointOuter:
         # once, not once per distribution.
         assert len(state_hashes) == 4
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="chaos reaches the workers through fork",
-    )
     def test_dead_block_leaves_nan_for_its_distributions_only(self, chaos_off):
         clean = corruption_grid(1)
         chaos.configure(exception_rate=1.0, only_keys=("rep1/nominal",))
@@ -352,7 +338,6 @@ def prune_curve(jobs, **knobs):
 def chaos_off(zoo_cache, monkeypatch):
     """Chaos off, whatever the environment says."""
     monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
     chaos.disable()
 
 

@@ -40,10 +40,6 @@ def _racing_worker(barrier, out_path):
     save_state(out_path, arrays, {"parent_test_error": run.parent_test_error})
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="race test instruments the zoo via fork-inherited monkeypatches",
-)
 class TestRacingBuilders:
     def test_single_training_run_and_identical_states(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

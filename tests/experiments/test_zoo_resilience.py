@@ -31,7 +31,6 @@ def chaos_isolation(monkeypatch):
     ``REPRO_CHAOS`` (the nightly chaos job exports one) and never leak
     a configured plan to the next test."""
     monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
     chaos.disable()
     yield
     chaos.disable()
@@ -157,10 +156,6 @@ def _contention_worker(barrier, log_path):
     _append_line(log_path, f"ok:{run.parent_test_error}")
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="contention test instruments the zoo via fork-inherited monkeypatches",
-)
 class TestChaosContention:
     def test_racing_builders_converge_on_one_retrain(self, tmp_path, monkeypatch):
         """Satellite: N concurrent builders race one truncated artifact

@@ -33,7 +33,6 @@ def micro_zoo(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "zoo"))
     monkeypatch.delenv(observe.DIR_ENV, raising=False)
     monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
     chaos.disable()
     scale = SMOKE.with_(
         n_train=48, n_test=24, image_size=8, num_classes=4, base_width=2,
@@ -55,8 +54,8 @@ class TestDegradeAndRerun:
         ft_key = ZooSpec("cifar", "resnet20", "ft", 0).key(scale)
 
         # Hard-kill (os._exit) every worker that picks up the ft cell.
-        # Workers are forked children, not the chaos owner, so the kill
-        # is a real mid-build crash the engine must detect and retry.
+        # Pool workers are forked, so the kill is a real mid-build crash
+        # the engine must detect and retry.
         chaos.configure(crash_rate=1.0, seed=5, only_keys=("-ft-",))
         degraded = build_zoo(
             specs, scale, jobs=2, on_error="collect", max_retries=1

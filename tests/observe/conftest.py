@@ -9,8 +9,9 @@ from repro import observe
 @pytest.fixture(autouse=True)
 def _clean_observe_state(monkeypatch):
     observe.shutdown()
-    # configure(dir=...) exports REPRO_OBSERVE_DIR; registering the delete
-    # with monkeypatch makes teardown restore the pre-test value.
+    # The user's switches stay out of these tests; monkeypatch restores
+    # them at teardown.
+    monkeypatch.delenv(observe.ENV_VAR, raising=False)
     monkeypatch.delenv(observe.DIR_ENV, raising=False)
     yield
     observe.shutdown()

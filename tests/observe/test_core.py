@@ -1,5 +1,6 @@
 """Observation core: configuration, span nesting, metrics, disabled path."""
 
+import os
 import time
 
 import numpy as np
@@ -49,6 +50,9 @@ class TestConfigure:
         assert observe.enabled()
         assert observe.current_ledger_path() == path
         assert path.suffix == ".jsonl"
+        # Forked workers inherit the run; nothing goes through the
+        # environment.
+        assert not [k for k in os.environ if k.startswith(observe.ENV_VAR)]
 
     def test_explicit_path(self, tmp_path):
         target = tmp_path / "my-run.jsonl"

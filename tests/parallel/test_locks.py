@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import fcntl
 import multiprocessing
 import os
 
 import pytest
 
-from repro.parallel import FileLock, LockTimeout, artifact_lock, atomic_write
+from repro.parallel import FileLock, artifact_lock, atomic_write
 
 
 class TestAtomicWrite:
@@ -52,15 +53,16 @@ class TestFileLock:
             with pytest.raises(RuntimeError, match="already held"):
                 lock.acquire()
 
-    def test_contention_times_out(self, tmp_path):
+    def test_held_lock_refuses_a_second_descriptor(self, tmp_path):
         path = tmp_path / "x.lock"
-        holder = FileLock(path)
-        waiter = FileLock(path, timeout=0.2, poll_interval=0.02)
-        with holder:
-            with pytest.raises(LockTimeout):
-                waiter.acquire()
-        with waiter:  # acquirable once the holder releases
-            assert waiter.held
+        fd = os.open(path, os.O_CREAT | os.O_RDWR)
+        try:
+            with FileLock(path):
+                with pytest.raises(BlockingIOError):
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # free once released
+        finally:
+            os.close(fd)
 
     def test_artifact_lock_sibling_path(self, tmp_path):
         lock = artifact_lock(tmp_path / "model.npz")
@@ -78,8 +80,6 @@ def _locked_increment(args):
 
 class TestMutualExclusion:
     def test_two_processes_never_interleave(self, tmp_path):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork unavailable")
         ctx = multiprocessing.get_context("fork")
         lock_path = tmp_path / "counter.lock"
         counter_path = tmp_path / "counter.txt"

@@ -20,7 +20,6 @@ def ambient_chaos_off(monkeypatch):
     """These tests assert exact failure counts, so ambient REPRO_CHAOS
     (exported by the nightly chaos CI job) must not inject extra faults."""
     monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
     chaos.disable()
     yield
 
@@ -79,16 +78,6 @@ class TestValidation:
     def test_fn_must_be_callable(self):
         with pytest.raises(ValueError, match="fn must be callable"):
             parallel_map("not a function", [1, 2])
-
-    @pytest.mark.parametrize("chunksize", [0, -1, -100])
-    def test_chunksize_must_be_positive(self, chunksize):
-        with pytest.raises(ValueError, match="chunksize must be >= 1"):
-            parallel_map(_ident, [1, 2], jobs=2, chunksize=chunksize)
-
-    @pytest.mark.parametrize("chunksize", [1.5, "2", True])
-    def test_chunksize_must_be_a_real_int(self, chunksize):
-        with pytest.raises(ValueError, match="chunksize must be an int"):
-            parallel_map(_ident, [1, 2], jobs=2, chunksize=chunksize)
 
     def test_on_error_vocabulary(self):
         with pytest.raises(ValueError, match="on_error"):
@@ -190,7 +179,6 @@ class TestCollectParallel:
             _boom_on_two,
             [1, 2, 3, 4],
             jobs=2,
-            chunksize=1,
             on_error="collect",
             max_retries=0,
         )
@@ -201,14 +189,13 @@ class TestCollectParallel:
 
     def test_raise_mode_wraps_in_worker_error(self):
         with pytest.raises(WorkerError, match="bad item 2"):
-            parallel_map(_boom_on_two, [1, 2, 3, 4], jobs=2, chunksize=1)
+            parallel_map(_boom_on_two, [1, 2, 3, 4], jobs=2)
 
     def test_crash_recovers_via_retry(self, tmp_path):
         out = parallel_map(
             _crash_once,
             [(str(tmp_path / "marker"), 4)] + [(str(tmp_path / "ok"), 5)],
             jobs=2,
-            chunksize=1,
             on_error="collect",
             retry_policy=FAST,
         )
@@ -225,7 +212,6 @@ class TestCollectParallel:
             _crash_always,
             [0, 1],
             jobs=2,
-            chunksize=1,
             on_error="collect",
             retry_policy=FAST,
             max_retries=1,
@@ -246,7 +232,6 @@ class TestCollectParallel:
             _sleep_forever,
             [0, 1, 2],
             jobs=2,
-            chunksize=1,
             on_error="collect",
             timeout=1.0,
             max_retries=0,

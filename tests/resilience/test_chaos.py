@@ -1,7 +1,8 @@
-"""Deterministic fault injection: spec transport, gating, and the sites."""
+"""Deterministic fault injection: spec parsing, gating, and the sites."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
@@ -14,7 +15,6 @@ from repro.resilience.chaos import DEFAULT_PROFILE, ChaosConfig, ChaosError
 def chaos_isolation(monkeypatch):
     """Every test starts and ends with chaos fully disabled."""
     monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
     chaos.disable()
     yield
     chaos.disable()
@@ -33,21 +33,17 @@ class TestSpecTransport:
             first_attempts_only=1,
             max_per_key=3,
         )
-        assert ChaosConfig.from_spec(config.to_spec()) == config
+        spec = (
+            "exception_rate=0.25, crash_rate=0.1,delay_rate=0.05,"
+            "delay_seconds=1.5,torn_write_rate=0.2,seed=7,only_keys=wt|ft,"
+            "first_attempts_only=1,max_per_key=3"
+        )
+        assert ChaosConfig.from_spec(spec) == config
 
     @pytest.mark.parametrize("flag", ["1", "true", "ON", "yes"])
     def test_bare_truthy_means_default_profile(self, flag):
         assert ChaosConfig.from_spec(flag) == DEFAULT_PROFILE
         assert DEFAULT_PROFILE.active()
-
-    def test_inactive_config_survives_the_round_trip(self):
-        # All-default config must NOT serialize to a bare truthy flag
-        # (which would deserialize as DEFAULT_PROFILE and turn chaos on).
-        config = ChaosConfig(seed=5)
-        assert not config.active()
-        spec = config.to_spec()
-        parsed = ChaosConfig.from_spec(spec)
-        assert parsed == config and not parsed.active()
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown REPRO_CHAOS field"):
@@ -63,26 +59,40 @@ class TestSpecTransport:
             ChaosConfig(crash_rate=rate)
 
 
+def _tear_in_forked_worker(path):
+    path.write_bytes(b"x" * 100)
+    chaos.on_publish(path)
+
+
 class TestLifecycle:
-    def test_configure_exports_env_for_workers(self):
-        config = chaos.configure(exception_rate=1.0, seed=3)
+    def test_forked_worker_keeps_the_plan_with_fresh_counters(self, tmp_path):
+        config = chaos.configure(torn_write_rate=1.0, seed=3, max_per_key=1)
         assert chaos.enabled()
         assert chaos.current() == config
-        # Spec + owner pid exported so forked/spawned workers reconstruct it.
-        assert ChaosConfig.from_spec(os.environ[chaos.ENV_VAR]) == config
-        assert os.environ[chaos.OWNER_ENV] == str(os.getpid())
+        assert chaos.ENV_VAR not in os.environ  # nothing exported
+        path = tmp_path / "artifact.npz"
+        path.write_bytes(b"x" * 100)
+        chaos.on_publish(path)  # spends this process's one tear of the key
+        path.write_bytes(b"x" * 100)
+        worker = multiprocessing.get_context("fork").Process(
+            target=_tear_in_forked_worker, args=(path,)
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert worker.exitcode == 0
+        assert path.stat().st_size == 50  # the worker's own count allowed it
 
-    def test_disable_clears_state_and_env(self):
+    def test_disable_clears_state_and_env(self, monkeypatch):
+        monkeypatch.setenv(chaos.ENV_VAR, "exception_rate=1.0")
         chaos.configure(exception_rate=1.0)
         chaos.disable()
         assert not chaos.enabled()
         assert chaos.current() is None
         assert chaos.ENV_VAR not in os.environ
-        assert chaos.OWNER_ENV not in os.environ
 
     def test_state_reread_from_env(self, monkeypatch):
-        # A worker process has no in-memory state: it must pick the plan
-        # up from REPRO_CHAOS on first use.
+        # A process started under REPRO_CHAOS picks the plan up on first
+        # use.
         monkeypatch.setenv(chaos.ENV_VAR, "exception_rate=1.0,seed=2")
         chaos._state = None
         assert chaos.enabled()
@@ -126,10 +136,10 @@ class TestWorkerSiteGating:
         chaos.on_worker_cell("cell", attempt=1)  # retry runs clean
 
     def test_crash_degrades_to_exception_in_owner_process(self):
-        # configure() marks this pid as the owner: a hard os._exit here
-        # would kill the test runner, so the injection degrades.
+        # Only a forked pool worker may hard-exit: an os._exit here would
+        # kill the test runner, so the injection raises instead.
         chaos.configure(crash_rate=1.0, seed=3)
-        with pytest.raises(ChaosError, match="owner-degraded"):
+        with pytest.raises(ChaosError, match="raised in-process"):
             chaos.on_worker_cell("cell", attempt=0)
 
     def test_delay_site_sleeps(self, monkeypatch):

@@ -7,8 +7,14 @@ fully deterministic, and it exercises the full injection → classification
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.parallel import parallel_map
 from repro.resilience import RetryPolicy, chaos
 from repro.resilience.chaos import ChaosError
@@ -17,7 +23,6 @@ from repro.resilience.chaos import ChaosError
 @pytest.fixture(autouse=True)
 def chaos_isolation(monkeypatch):
     monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
     chaos.disable()
     yield
     chaos.disable()
@@ -67,3 +72,35 @@ def test_raise_mode_surfaces_the_chaos_error():
             jobs=1,
             retry_policy=RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0),
         )
+
+
+_AMBIENT_CRASH = """
+from repro.parallel import parallel_map
+from repro.resilience.chaos import ChaosError
+
+try:
+    parallel_map(abs, [-1, -2], jobs=1, max_retries=0)
+except ChaosError as exc:
+    print("serial:", type(exc).__name__)
+out = parallel_map(abs, [-1, -2], jobs=2, on_error="collect", max_retries=0)
+print("pool:", *[f.kind for f in out.failures])
+"""
+
+
+def test_ambient_crash_injection_spares_the_process_that_reads_it():
+    # REPRO_CHAOS set before the interpreter starts, no configure() call:
+    # a serial map's injected crash must raise, not hard-exit the process
+    # running the grid, while forked pool workers still die.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["REPRO_CHAOS"] = "crash_rate=1.0,seed=1"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _AMBIENT_CRASH],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["serial: ChaosError", "pool: crash crash"]

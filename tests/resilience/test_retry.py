@@ -8,7 +8,6 @@ import zlib
 import pytest
 
 from repro.parallel import WorkerError
-from repro.parallel.locks import LockTimeout
 from repro.resilience import (
     RetryPolicy,
     is_retryable,
@@ -29,7 +28,6 @@ class TestClassification:
             OSError("disk went away"),
             BrokenPipeError("worker pipe"),
             TimeoutError("deadline"),
-            LockTimeout("starved"),
             EOFError("truncated read"),
             zipfile.BadZipFile("torn archive"),
             zlib.error("truncated block"),
@@ -56,7 +54,7 @@ class TestClassification:
 
     def test_type_name_classification_is_wire_format(self):
         # The parent only sees names across the process boundary.
-        assert is_retryable_type("LockTimeout")
+        assert is_retryable_type("BadZipFile")
         assert is_retryable_type("ChaosError")
         assert not is_retryable_type("ValueError")
 

@@ -113,6 +113,10 @@ class TestServeBench:
         on_disk = json.loads(out.read_text())
         assert on_disk["load"]["lost"] == 0
         assert on_disk["parity"]["bitwise_equal"]
+        # The host's load averages bracket the run: what the latencies
+        # depend on beyond the code.
+        for when in ("start", "end"):
+            assert len(on_disk["host_load"][when]) == 3
 
     def test_cli_exit_code(self, tmp_path, monkeypatch):
         from repro.__main__ import main
